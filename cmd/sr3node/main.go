@@ -2,9 +2,10 @@
 // member. The first node (started without -seed) loads the YAML
 // topology spec and embeds the control plane; every other node joins
 // it, receives the spec, and hosts whatever components the control
-// plane assigns. State saves scatter shards to peer processes; when a
-// node dies, the control plane moves its components to a survivor,
-// which star-fetches the scattered state and replays.
+// plane assigns. Each process runs one ring node and recovery manager:
+// state saves scatter shards over the leaf set of peer processes; when
+// a node dies, the control plane moves its components to a survivor,
+// which rebuilds the state from the ring and replays.
 //
 // Usage:
 //

@@ -1,103 +1,52 @@
 package cluster
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 	"sync"
-	"time"
 
+	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
+	"sr3/internal/recovery"
 	"sr3/internal/state"
 	"sr3/internal/stream"
 )
 
-// shardStore holds scattered shards this node keeps on behalf of peers
-// — the node's slice of everyone else's protected state. Per app it
-// retains the newest version it has seen plus the one it superseded:
-// a saver that dies mid-scatter leaves the newest version incomplete
-// cluster-wide, and recovery must still find every fragment of the last
-// fully scattered one. Older or duplicate pushes are dropped (stores
-// are idempotent, which is what lets the repair loop blindly
-// re-scatter).
-type shardStore struct {
-	mu    sync.Mutex
-	byApp map[string]*appShards
-}
+// ringID derives a member's ring identifier from its name, so a
+// restarted process keeps its ID and placements that name it stay valid.
+func ringID(name string) id.ID { return id.HashKey("sr3node/" + name) }
 
-type appShards struct {
-	version state.Version
-	shards  map[shard.Key]shard.Shard
-	// prev* retain the superseded version's fragments until the next
-	// supersession — the fallback set for a partially scattered save.
-	prevVersion state.Version
-	prev        map[shard.Key]shard.Shard
-}
-
-func newShardStore() *shardStore {
-	return &shardStore{byApp: map[string]*appShards{}}
-}
-
-func (s *shardStore) store(shards []shard.Shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range shards {
-		app := s.byApp[sh.App]
-		if app == nil {
-			app = &appShards{version: sh.Version, shards: map[shard.Key]shard.Shard{}}
-			s.byApp[sh.App] = app
+// applyRing makes this process's ring node follow the seed's view: live
+// members are booked on the ring transport and folded into the leaf set;
+// members the view holds dead are un-booked and reported dead, so no
+// save places a replica on them and no recovery plans a fetch from them.
+// The seed's verdict is the only liveness rule.
+func (n *Node) applyRing(members []Member) {
+	for _, m := range members {
+		if m.Name == n.cfg.Name {
+			continue
 		}
-		switch {
-		case sh.Version == app.version:
-			app.shards[sh.Key()] = sh
-		case sh.Version.Newer(app.version):
-			app.prevVersion, app.prev = app.version, app.shards
-			app.version = sh.Version
-			app.shards = map[shard.Key]shard.Shard{sh.Key(): sh}
-		case app.prev != nil && sh.Version == app.prevVersion:
-			app.prev[sh.Key()] = sh
+		rid := ringID(m.Name)
+		if m.Alive {
+			n.ringNet.AddPeer(rid, m.Addr)
+			n.ring.Learn(rid)
+		} else {
+			n.ringNet.RemovePeer(rid)
+			n.ring.ReportDead(rid)
 		}
 	}
 }
 
-func (s *shardStore) fetch(app string) []shard.Shard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.byApp[app]
-	if a == nil {
-		return nil
-	}
-	out := make([]shard.Shard, 0, len(a.shards)+len(a.prev))
-	for _, sh := range a.shards {
-		out = append(out, sh)
-	}
-	for _, sh := range a.prev {
-		out = append(out, sh)
-	}
-	return out
-}
-
-// counts reports how many shards are held per app (debug surface).
-func (s *shardStore) counts() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.byApp))
-	for app, a := range s.byApp {
-		out[app] = len(a.shards) + len(a.prev)
-	}
-	return out
-}
-
-// scatterBackend is the multi-process stream.StateBackend: Save splits a
-// snapshot into spec.Shards fragments × spec.Replicas copies and pushes
-// them to live peers (SR3's scatter, with the cluster view standing in
-// for the DHT leaf set); Recover star-fetches from every live member and
-// reassembles the newest complete version (the paper's star mechanism —
-// all holders stream their fragments to the recovering node in
-// parallel). The last snapshot of every local task is retained so the
-// repair loop can re-scatter after membership changes.
-type scatterBackend struct {
+// ringBackend is the multi-process stream.StateBackend, a thin adapter
+// over this process's recovery.Manager. Save places spec.Shards ×
+// spec.Replicas shard replicas on the ring node's live leaf-set peers —
+// never on this process — and publishes the placement in the ring's KV.
+// Recovery looks the placement up from any process and runs the
+// mechanism recovery.Select picks for the state's size. The last
+// snapshot of every local task is retained so the repair loop can
+// re-save it after membership changes.
+type ringBackend struct {
 	node *Node
 
 	mu   sync.Mutex
@@ -110,145 +59,83 @@ type savedSnap struct {
 }
 
 var (
-	_ stream.StateBackend  = (*scatterBackend)(nil)
-	_ stream.TracedBackend = (*scatterBackend)(nil)
+	_ stream.StateBackend  = (*ringBackend)(nil)
+	_ stream.TracedBackend = (*ringBackend)(nil)
 )
 
-func newScatterBackend(n *Node) *scatterBackend {
-	return &scatterBackend{node: n, last: map[string]savedSnap{}}
+func newRingBackend(n *Node) *ringBackend {
+	return &ringBackend{node: n, last: map[string]savedSnap{}}
 }
 
-// Save scatters one snapshot. Peer pushes are best-effort per target —
-// a dead peer loses its fragment until repair — but at least one
-// replica of every shard index must land somewhere or the save fails.
-func (b *scatterBackend) Save(taskKey string, snapshot []byte, v state.Version) error {
+// Save protects one snapshot. It fails — and the runtime keeps the
+// task's input log — unless every shard index reached at least one live
+// peer (recovery.ErrUnderReplicated when there is none).
+func (b *ringBackend) Save(taskKey string, snapshot []byte, v state.Version) error {
 	b.mu.Lock()
-	prev := b.last[taskKey]
-	if v.Newer(prev.version) {
+	if v.Newer(b.last[taskKey].version) {
 		b.last[taskKey] = savedSnap{data: append([]byte(nil), snapshot...), version: v}
 	}
 	b.mu.Unlock()
-	return b.scatter(taskKey, snapshot, v)
+	return b.save(taskKey, snapshot, v)
 }
 
-func (b *scatterBackend) scatter(taskKey string, snapshot []byte, v state.Version) error {
+func (b *ringBackend) save(taskKey string, snapshot []byte, v state.Version) error {
 	spec := b.node.spec
-	base, err := shard.Split(taskKey, id.HashKey(taskKey), snapshot, spec.Shards, v)
-	if err != nil {
-		return err
-	}
-	all, err := shard.Replicate(base, spec.Replicas)
-	if err != nil {
-		return err
-	}
-	targets := b.node.scatterTargets()
-	if len(targets) == 0 {
-		return fmt.Errorf("scatter %s: no live members", taskKey)
-	}
-	// Round-robin over (index, replica) keeps the replicas of one index
-	// on distinct nodes whenever the cluster is large enough — the same
-	// policy as shard.Place, against live members instead of DHT IDs.
-	byTarget := map[string][]shard.Shard{}
-	for _, sh := range all {
-		t := targets[(sh.Index*spec.Replicas+sh.Replica)%len(targets)]
-		byTarget[t.Name] = append(byTarget[t.Name], sh)
-	}
-	stored := map[int]bool{}
-	var firstErr error
-	for name, shards := range byTarget {
-		t := targets[0]
-		for _, cand := range targets {
-			if cand.Name == name {
-				t = cand
-			}
-		}
-		if err := b.node.pushShards(t, taskKey, shards); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for _, sh := range shards {
-			stored[sh.Index] = true
-		}
-	}
-	if len(stored) < len(base) {
-		return fmt.Errorf("scatter %s: only %d/%d shard indices stored: %v",
-			taskKey, len(stored), len(base), firstErr)
-	}
-	return nil
+	_, err := b.node.mgr.Save(taskKey, snapshot, spec.Shards, spec.Replicas, v)
+	return err
 }
 
-// Recover star-fetches taskKey's shards from every live member and
-// reassembles the newest version with a complete fragment set. A task
-// that has never saved has no shards anywhere; it recovers to the empty
-// state (its input log replays on top).
-func (b *scatterBackend) Recover(taskKey string) ([]byte, error) {
+// Recover rebuilds taskKey's last published snapshot. A task that has
+// never saved has no placement anywhere; it recovers to the empty state
+// (its input log replays on top).
+func (b *ringBackend) Recover(taskKey string) ([]byte, error) {
 	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
 }
 
-// RecoverTraced is Recover with the star fetch instrumented: one
-// retroactive fetch span per peer (the per-holder leg of the star) and a
-// merge span around version selection + reassembly, all parented on the
-// adoption's recovery span. A nil tracer or invalid parent records
-// nothing — Recover delegates here with both zeroed.
-func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
-	var all []shard.Shard
-	for _, m := range b.node.liveMembersView() {
-		start := time.Now()
-		shards, err := b.node.fetchShards(m, taskKey)
-		if parent.Valid() {
-			attrs := []obs.Attr{obs.Str("peer", m.Name), obs.Int("shards", int64(len(shards)))}
-			if err != nil {
-				attrs = append(attrs, obs.Str("err", err.Error()))
-			}
-			tr.RecordSpan(parent, obs.PhaseFetch, start, time.Now(), attrs...)
-		}
-		if err != nil {
-			b.node.logf("recover %s: fetch from %s: %v", taskKey, m.Name, err)
-			continue
-		}
-		all = append(all, shards...)
+// RecoverTraced is Recover with the mechanism's fetch and merge spans
+// parented on the adoption's recovery span. A nil tracer or invalid
+// parent records nothing — Recover delegates here with both zeroed.
+func (b *ringBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
+	mgr := b.node.mgr
+	// The placement lookup is the recovery's first fetch — a ring KV read
+	// — and, for a task that never saved, its only one.
+	var sp *obs.Span
+	if parent.Valid() {
+		sp = tr.StartSpan(parent, obs.PhaseFetch)
+		sp.SetStr("placement", taskKey)
 	}
-	if len(all) == 0 {
-		return emptySnapshot()
+	p, err := mgr.LookupPlacement(taskKey)
+	if errors.Is(err, dht.ErrNotFound) {
+		sp.End()
+		return state.NewMapStore().Snapshot() // the empty state
 	}
-	mergeStart := time.Now()
-	byVersion := map[state.Version][]shard.Shard{}
-	for _, sh := range all {
-		byVersion[sh.Version] = append(byVersion[sh.Version], sh)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, err
 	}
-	versions := make([]state.Version, 0, len(byVersion))
-	for v := range byVersion {
-		versions = append(versions, v)
+	d := recovery.Select(recovery.Requirements{StateBytes: int64(p.TotalLen)})
+	mech := d.Mechanism
+	if forced := b.node.forcedMech.Load(); forced != nil {
+		mech = *forced
 	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i].Newer(versions[j]) })
-	var lastErr error
-	for _, v := range versions {
-		data, err := shard.Reassemble(byVersion[v])
-		if err == nil {
-			if parent.Valid() {
-				tr.RecordSpan(parent, obs.PhaseMerge, mergeStart, time.Now(),
-					obs.Int("shards", int64(len(all))), obs.Int("versions", int64(len(versions))))
-			}
-			return data, nil
-		}
-		lastErr = err
+	opts := d.Options
+	if parent.Valid() {
+		opts.Tracer, opts.TraceParent = tr, parent
 	}
-	return nil, fmt.Errorf("recover %s: no complete version among %d: %w", taskKey, len(versions), lastErr)
+	res, err := mgr.RecoverDirect(taskKey, mech, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Snapshot, nil
 }
 
-// emptySnapshot is the canonical snapshot of a state with no entries.
-func emptySnapshot() ([]byte, error) {
-	return state.NewMapStore().Snapshot()
-}
-
-// repairTick re-scatters the latest snapshot of every locally protected
-// task against the current membership. Idempotent by the shardStore
-// version rule, so running it after every epoch change and on a timer
-// costs only the pushes; it is what re-populates a crashed-and-rejoined
-// holder and restores full replication after an adoption.
-func (b *scatterBackend) repairTick() {
+// repairTick re-saves the latest snapshot of every locally protected
+// task against the current leaf set. A re-save of a held version is
+// idempotent on the holders and republishes the placement in place, so
+// running it on a timer costs only the pushes; it is what re-populates a
+// crashed-and-rejoined holder and restores full replication after an
+// adoption.
+func (b *ringBackend) repairTick() {
 	b.mu.Lock()
 	keys := make([]string, 0, len(b.last))
 	for k := range b.last {
@@ -261,14 +148,14 @@ func (b *scatterBackend) repairTick() {
 	}
 	b.mu.Unlock()
 	for i, key := range keys {
-		if err := b.scatter(key, snaps[i].data, snaps[i].version); err != nil {
+		if err := b.save(key, snaps[i].data, snaps[i].version); err != nil {
 			b.node.logf("repair %s: %v", key, err)
 		}
 	}
 }
 
 // forget drops retained snapshots for tasks this node no longer hosts.
-func (b *scatterBackend) forget(taskKeys []string) {
+func (b *ringBackend) forget(taskKeys []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, k := range taskKeys {

@@ -175,7 +175,7 @@ func (cp *controlPlane) handleJoin(req *joinReq) (*joinResp, error) {
 	// moving its components — then the adoption completes the trace.
 	cp.finishRecoveryLocked(req.Name, req.Name, "rejoined")
 	cp.node.logf("control: %s joined (incarnation %d) epoch=%d", req.Name, req.Incarnation, cp.view.Epoch)
-	return &joinResp{View: cp.view.clone(), Spec: *cp.spec}, nil
+	return &joinResp{View: cp.view.clone(), Spec: *cp.spec, Seed: cp.node.cfg.Name}, nil
 }
 
 // handleHeartbeat refreshes liveness and tells the sender the current
@@ -246,6 +246,8 @@ func (cp *controlPlane) sweep() {
 	if changed {
 		cp.view.Epoch++
 	}
+	// The seed's own ring follows its view once per sweep.
+	cp.node.applyRing(cp.view.Members)
 	// Orphans: components assigned to a node that is not currently live.
 	orphansBy := map[string][]string{}
 	for comp, nodeName := range cp.view.Assign {

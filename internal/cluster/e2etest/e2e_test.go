@@ -165,7 +165,7 @@ func waitCondition(t *testing.T, timeout time.Duration, what string, cond func()
 // cluster runs the keyed pipeline with automatic save/protect; the
 // process owning the stateful counter is SIGKILLed mid-stream; the
 // control plane must detect the death, a survivor adopts the task,
-// star-fetches the scattered state, replays the gap, and the sink ends
+// rebuilds the scattered state from the ring, replays the gap, and the sink ends
 // exactly-once with zero manual intervention.
 func TestKillTaskOwnerRecovers(t *testing.T) {
 	const total = 8000

@@ -1,11 +1,13 @@
 // Package cluster turns the in-process SR3 stream runtime into a real
 // multi-process system: sr3node daemons join a seed over TCP, host the
 // stream components a declarative topology spec assigns them, bridge
-// cross-process edges with batch-codec tuple streams, scatter operator
-// state to peer processes on every save, and recover it with a star
-// fetch when the control plane moves a dead node's components to a
-// survivor. The package also ships the local playground launcher the
-// process-level e2e harness and the CI cluster-smoke job drive.
+// cross-process edges with batch-codec tuple streams, and protect
+// operator state through one Pastry ring node and recovery.Manager per
+// process — shards scattered over the leaf set on every save, rebuilt
+// with star, line or tree when the control plane moves a dead node's
+// components to a survivor. The package also ships the local playground
+// launcher the process-level e2e harness and the CI cluster-smoke job
+// drive.
 package cluster
 
 import (
@@ -16,23 +18,23 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sr3/internal/dht"
 	"sr3/internal/metrics"
 	"sr3/internal/nettransport"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
+	"sr3/internal/recovery"
 	"sr3/internal/stream"
 )
 
 // Node is one sr3node daemon: a cluster member hosting zero or more
-// cells (partial stream runtimes) plus this process's slice of its
-// peers' scattered state. The seed node additionally embeds the control
-// plane.
+// cells (partial stream runtimes) plus a ring node whose recovery
+// manager holds this process's slice of its peers' scattered state. The
+// seed node additionally embeds the control plane.
 type Node struct {
 	cfg    NodeConfig
 	logger *log.Logger
@@ -51,8 +53,15 @@ type Node struct {
 	tracer *obs.Tracer
 	spans  *obs.Collector
 
-	shards  *shardStore
-	backend *scatterBackend
+	// The ring: one dht.Node per process on a transport served by the
+	// cluster listener's ring plane, and the recovery.Manager on it.
+	ringNet *nettransport.Network
+	ring    *dht.Node
+	mgr     *recovery.Manager
+	backend *ringBackend
+	// forcedMech, when set, overrides recovery.Select's choice (a test
+	// seam for covering every mechanism).
+	forcedMech atomic.Pointer[recovery.Mechanism]
 
 	ln      net.Listener
 	httpSrv *obs.MetricsServer
@@ -124,7 +133,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		logger:     log.New(cfg.LogWriter, "["+cfg.Name+"] ", log.Ltime|log.Lmicroseconds),
 		clusterReg: metrics.NewClusterRegistry(),
 		flight:     obs.NewFlightRecorder(4096),
-		shards:     newShardStore(),
 		conns:      map[net.Conn]bool{},
 		hbStop:     make(chan struct{}),
 		hbDone:     make(chan struct{}),
@@ -141,7 +149,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.spans = obs.NewCollector()
 	n.tracer = obs.New(obs.MultiSink{obs.NewMetricsSink(n.reg, ""), n.spans},
 		obs.WithIDBase(obs.IDBase(cfg.Name)))
-	n.backend = newScatterBackend(n)
+	n.backend = newRingBackend(n)
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -152,6 +160,19 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if n.advertise == "" {
 		n.advertise = ln.Addr().String()
 	}
+	dht.RegisterWire()
+	recovery.RegisterWire()
+	n.ringNet = nettransport.NewShared(magicRing, n.advertise)
+	// A member the seed has not yet declared dead refuses at once; the
+	// view, not dial retries, says when it is back.
+	n.ringNet.SetDialRetryPolicy(nettransport.DialRetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond})
+	if n.ring, err = dht.NewNode(ringID(cfg.Name), n.ringNet, dht.DefaultConfig()); err != nil {
+		_ = ln.Close()
+		return nil, fmt.Errorf("cluster: ring node: %w", err)
+	}
+	n.mgr = recovery.NewManager(n.ring)
+	n.mgr.SetTracer(n.tracer)
+	n.mgr.SetMetrics(n.reg)
 	n.servWG.Add(1)
 	go n.serve()
 
@@ -215,6 +236,7 @@ func (n *Node) bootstrap() error {
 			return err
 		}
 		n.spec = spec
+		n.ring.Bootstrap()
 		n.control = newControlPlane(n, spec)
 		// The federation and trace-stitch surfaces must exist before the
 		// monitor loop runs: a sweep may trigger a post-mortem.
@@ -242,7 +264,11 @@ func (n *Node) bootstrap() error {
 			n.mu.Lock()
 			n.view = resp.JoinR.View
 			n.mu.Unlock()
-			return nil
+			// The ring join goes through the seed, which the view books.
+			n.applyRing(resp.JoinR.View.Members)
+			if err = n.ring.Join(ringID(resp.JoinR.Seed)); err == nil {
+				return nil
+			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: join %s: %w", n.cfg.Seed, err)
@@ -264,9 +290,6 @@ func (n *Node) HTTPAddr() string {
 	}
 	return n.httpSrv.Addr()
 }
-
-// IsSeed reports whether this node embeds the control plane.
-func (n *Node) IsSeed() bool { return n.control != nil }
 
 // Health is the /healthz readiness probe: ready means joined and every
 // component the current view assigns here is hosted by a running cell.
@@ -363,45 +386,6 @@ func (n *Node) ownerOf(comp string) (name, addr string) {
 	return m.Name, m.Addr
 }
 
-func (n *Node) liveMembersView() []Member {
-	v := n.currentView()
-	ms := v.liveMembers()
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	return ms
-}
-
-// scatterTargets lists the nodes shard replicas may land on.
-func (n *Node) scatterTargets() []Member {
-	return n.liveMembersView()
-}
-
-// pushShards delivers shards to one holder (local fast path for self).
-func (n *Node) pushShards(m Member, app string, shards []shard.Shard) error {
-	if m.Name == n.cfg.Name {
-		n.shards.store(shards)
-		return nil
-	}
-	_, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "store", Store: &storeShardsReq{
-		From: n.cfg.Name, App: app, Shards: shards,
-	}}, rpcTimeout)
-	return err
-}
-
-// fetchShards pulls one app's held shards from a member.
-func (n *Node) fetchShards(m Member, app string) ([]shard.Shard, error) {
-	if m.Name == n.cfg.Name {
-		return n.shards.fetch(app), nil
-	}
-	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "fetch", Fetch: &fetchShardsReq{App: app}}, rpcTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if resp.FetchR == nil {
-		return nil, nil
-	}
-	return resp.FetchR.Shards, nil
-}
-
 // buildCell materializes the partial runtime for one component set:
 // local components are declared as-is, remote upstream components
 // become external sources (fed by ingress streams), and every edge to a
@@ -496,8 +480,9 @@ func (n *Node) buildCell(compIDs []string) (*cell, error) {
 
 // startCell starts the cell's executors, restores every stateful task
 // from the scattered shards (kill marks the empty-state task dead so
-// arriving tuples are logged, recover star-fetches + restores + replays
-// the log), wires the egress senders, and finally opens the spout gate.
+// arriving tuples are logged, recover fetches from the ring + restores +
+// replays the log), wires the egress senders, and finally opens the
+// spout gate.
 // A valid trace context (an adoption driven by the seed's self-heal
 // trace) threads the recovery through the traced paths, so fetch, merge,
 // and replay surface as child spans of the cluster-wide recovery, and
@@ -530,7 +515,7 @@ func (n *Node) startCell(c *cell, trace obs.SpanContext) error {
 	}
 	for _, r := range c.relays {
 		r.setTrace(trace)
-		go r.run()
+		r.start()
 	}
 	c.ready.Store(true)
 	close(c.gate)
@@ -563,6 +548,27 @@ func (n *Node) cellFor(comp string) *cell {
 	return nil
 }
 
+// ingressCell returns the ready cell hosting comp for an ingress
+// stream. The view names a freshly joined node comp's owner while the
+// node is still recovering the cell, and the sender already counts what
+// it wrote as sent, so the stream waits for the cell rather than drop
+// the batch. nil means that, once joined, comp is not (or no longer)
+// assigned here, or that the node is stopping.
+func (n *Node) ingressCell(comp string) *cell {
+	for {
+		if c := n.cellFor(comp); c != nil {
+			return c
+		}
+		n.mu.Lock()
+		stopping := n.stopping
+		n.mu.Unlock()
+		if stopping || n.joined.Load() && n.currentView().Assign[comp] != n.cfg.Name {
+			return nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // handleAdopt hosts a dead node's components: build a cell, recover
 // their state, and only then ACK — the control plane flips routing to
 // us after the ACK, so no ingress targets the cell mid-recovery.
@@ -576,6 +582,11 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 		}
 	}
 	n.logf("adopting %v", req.Components)
+	// Recover under the view that ordered the adoption: it carries the
+	// seed's death verdict, which un-books the dead node from the ring.
+	if n.control == nil && req.Epoch > n.viewEpoch() {
+		n.pullView()
+	}
 	// A traced adoption opens a local recover span parented on the seed's
 	// self-heal trace: this node's fetch/merge/replay children hang off
 	// it, and the span lands in the local collector for the seed's stitch.
@@ -597,6 +608,17 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 	n.mu.Unlock()
 	if err := n.startCell(c, trace); err != nil {
 		sp.EndErr(err)
+		// Drop the half-started cell: the control plane retries the
+		// adoption, here or on another survivor.
+		n.mu.Lock()
+		for i, have := range n.cells {
+			if have == c {
+				n.cells = append(n.cells[:i], n.cells[i+1:]...)
+				break
+			}
+		}
+		n.mu.Unlock()
+		c.stop()
 		return nil, err
 	}
 	sp.End()
@@ -604,7 +626,7 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 }
 
 // serve accepts cluster connections: 'C' control RPCs, 'T' tuple
-// streams.
+// streams, 'R' ring traffic.
 func (n *Node) serve() {
 	defer n.servWG.Done()
 	for {
@@ -644,6 +666,8 @@ func (n *Node) handleConn(conn net.Conn) {
 	case magicFlow:
 		_ = conn.SetReadDeadline(time.Time{})
 		n.handleFlow(conn)
+	case magicRing:
+		n.ringNet.ServeConn(n.ring.ID(), conn)
 	}
 }
 
@@ -715,17 +739,6 @@ func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
 			return fail(err)
 		}
 		resp.AdoptR = r
-	case "store":
-		if req.Store == nil {
-			return fail(ErrUnknownRPC)
-		}
-		n.shards.store(req.Store.Shards)
-		resp.StoreR = &storeShardsResp{}
-	case "fetch":
-		if req.Fetch == nil {
-			return fail(ErrUnknownRPC)
-		}
-		resp.FetchR = &fetchShardsResp{Shards: n.shards.fetch(req.Fetch.App)}
 	case "metricspull":
 		if req.MPull == nil {
 			return fail(ErrUnknownRPC)
@@ -804,7 +817,7 @@ func (n *Node) handleFlow(conn net.Conn) {
 				obs.Str("edge", hello.FromComp+"->"+hello.DestComp),
 				obs.Str("from", hello.FromNode))
 		}
-		c := n.cellFor(hello.DestComp)
+		c := n.ingressCell(hello.DestComp)
 		if c == nil {
 			return // not (or no longer) hosting: sender re-resolves
 		}
@@ -844,6 +857,9 @@ func (n *Node) heartbeatLoop() {
 		if resp.HeartbtR != nil && resp.HeartbtR.Epoch > n.viewEpoch() {
 			n.pullView()
 		}
+		// Re-apply even an unchanged view: it restores members the ring
+		// forgot after a failed call.
+		n.applyRing(n.currentView().Members)
 	}
 }
 
@@ -864,10 +880,14 @@ func (n *Node) pullView() {
 		return
 	}
 	n.mu.Lock()
-	if resp.ViewR.View.Epoch > n.view.Epoch {
+	newer := resp.ViewR.View.Epoch > n.view.Epoch
+	if newer {
 		n.view = resp.ViewR.View
 	}
 	n.mu.Unlock()
+	if newer {
+		n.applyRing(resp.ViewR.View.Members)
+	}
 }
 
 // rejoin re-enters the cluster after being declared dead. Components
@@ -904,6 +924,7 @@ func (n *Node) rejoin() {
 	}
 	n.cells = keep
 	n.mu.Unlock()
+	n.applyRing(resp.JoinR.View.Members)
 	for _, c := range stale {
 		n.logf("rejoin: dropping relocated cell %v", c.comps)
 		c.stop()
@@ -923,7 +944,7 @@ func (n *Node) rejoin() {
 	n.logf("rejoined (incarnation %d, epoch %d)", n.incarnation.Load(), n.viewEpoch())
 }
 
-// repairLoop periodically re-scatters every locally protected snapshot
+// repairLoop periodically re-saves every locally protected snapshot
 // so replication converges back after deaths, adoptions, and rejoins.
 func (n *Node) repairLoop() {
 	defer close(n.rpDone)
@@ -954,6 +975,7 @@ func (n *Node) shutdownTransport() {
 		_ = c.Close()
 	}
 	n.servWG.Wait()
+	n.ringNet.Close()
 }
 
 // Stop shuts the node down cleanly: leave the cluster, stop the
@@ -1030,7 +1052,7 @@ func (n *Node) Debug() NodeDebug {
 		Epoch:       v.Epoch,
 		Members:     v.Members,
 		Assign:      v.Assign,
-		ShardsHeld:  n.shards.counts(),
+		ShardsHeld:  n.mgr.ShardsByApp(),
 	}
 	n.mu.Lock()
 	cells := append([]*cell(nil), n.cells...)

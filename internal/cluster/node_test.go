@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
 	"time"
 
 	"sr3/internal/leakcheck"
+	"sr3/internal/obs"
+	"sr3/internal/recovery"
+	"sr3/internal/state"
 )
 
 // testSpec builds a source -> counter -> sink pipeline with the three
@@ -40,7 +44,11 @@ func testSpec(srcNode, cntNode, sinkNode string, count, keys, intervalUS, saveEv
 
 func startTestNode(t *testing.T, name, seedAddr string, spec *Spec) *Node {
 	t.Helper()
-	cfg := NodeConfig{
+	return startTestNodeWith(t, testConfig(name, seedAddr, spec))
+}
+
+func testConfig(name, seedAddr string, spec *Spec) NodeConfig {
+	return NodeConfig{
 		Name:           name,
 		Listen:         "127.0.0.1:0",
 		Seed:           seedAddr,
@@ -51,9 +59,13 @@ func startTestNode(t *testing.T, name, seedAddr string, spec *Spec) *Node {
 		JoinTimeout:    5 * time.Second,
 		LogWriter:      io.Discard,
 	}
+}
+
+func startTestNodeWith(t *testing.T, cfg NodeConfig) *Node {
+	t.Helper()
 	n, err := StartNode(cfg)
 	if err != nil {
-		t.Fatalf("StartNode(%s): %v", name, err)
+		t.Fatalf("StartNode(%s): %v", cfg.Name, err)
 	}
 	return n
 }
@@ -160,38 +172,125 @@ func crashNode(n *Node) {
 }
 
 // TestAdoptionAfterCrash kills the node hosting the stateful counter
-// mid-stream and asserts the control plane detects the death, a survivor
-// adopts the component, recovers the scattered state, and the sink ends
-// exactly-once.
+// mid-stream, once per recovery mechanism, and asserts the control plane
+// detects the death, a survivor adopts the component, recovers the
+// scattered state from the ring, and the sink ends exactly-once. The
+// adopter's trace must show the recovery fetching only from survivors.
 func TestAdoptionAfterCrash(t *testing.T) {
-	const total = 4000
-	// ~200us between tuples: the stream is still in flight when the
-	// counter's host dies.
-	spec := testSpec("n1", "n2", "n1", total, 8, 200, 25)
-	seed := startTestNode(t, "n1", "", spec)
+	for _, mech := range []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree} {
+		mech := mech
+		t.Run(mech.String(), func(t *testing.T) {
+			const total = 4000
+			// ~200us between tuples: the stream is still in flight when
+			// the counter's host dies. Four nodes put the counter's
+			// replicas on three peers, so every mechanism fetches remotely.
+			spec := testSpec("n1", "n2", "n1", total, 8, 200, 25)
+			seed := startTestNode(t, "n1", "", spec)
+			defer seed.Stop()
+			n2 := startTestNode(t, "n2", seed.Addr(), spec)
+			nodes := map[string]*Node{"n1": seed}
+			for _, name := range []string{"n3", "n4"} {
+				n := startTestNode(t, name, seed.Addr(), spec)
+				defer n.Stop()
+				nodes[name] = n
+			}
+			for _, n := range nodes {
+				n.forcedMech.Store(&mech)
+			}
+
+			// Let the pipeline run long enough for saves to scatter.
+			time.Sleep(250 * time.Millisecond)
+			crashNode(n2)
+
+			s := waitSink(t, seed, total, 20*time.Second)
+			if !s.ExactlyOnce {
+				t.Fatalf("sink not exactly-once: %+v", s)
+			}
+
+			// The counter must have moved off the dead node.
+			d := seed.Debug()
+			adopter := nodes[d.Assign["count"]]
+			if adopter == nil {
+				t.Fatalf("count not re-homed on a survivor: %v", d.Assign)
+			}
+			for _, m := range d.Members {
+				if m.Name == "n2" && m.Alive {
+					t.Fatalf("crashed node still alive in view: %+v", d.Members)
+				}
+			}
+
+			crashed := ringID("n2").Short()
+			fetches := 0
+			spans := adopter.spans.Spans()
+			for _, rec := range spans {
+				if rec.Phase != obs.PhaseRecover {
+					continue
+				}
+				for _, f := range spans {
+					if f.Parent != rec.Span || f.Phase != obs.PhaseFetch {
+						continue
+					}
+					fetches++
+					for _, a := range f.Attrs {
+						if a.Key == "peer" && a.Str == crashed {
+							t.Fatalf("%s recovery fetched from the crashed node: %+v", mech, f)
+						}
+					}
+				}
+			}
+			if fetches == 0 {
+				t.Fatalf("adopter %s recorded no recover -> fetch spans", adopter.Name())
+			}
+		})
+	}
+}
+
+// TestSaveNeedsOffNodeCopy is the regression test for acknowledging a
+// save with every copy on the saver: in a two-node cluster whose peer
+// crashed but is still in the view, Save must fail and place nothing on
+// the saver; once the seed declares the peer dead, it fails typed and is
+// counted.
+func TestSaveNeedsOffNodeCopy(t *testing.T) {
+	spec := testSpec("n1", "n1", "n1", 10, 2, 0, 100)
+	cfg := testConfig("n1", "", spec)
+	cfg.DeadAfter = time.Second
+	seed := startTestNodeWith(t, cfg)
 	defer seed.Stop()
 	n2 := startTestNode(t, "n2", seed.Addr(), spec)
-	n3 := startTestNode(t, "n3", seed.Addr(), spec)
-	defer n3.Stop()
 
-	// Let the pipeline run long enough for saves to scatter.
-	time.Sleep(250 * time.Millisecond)
+	const task = "wc/probe/0"
+	snap := []byte("probe state")
+	v1 := state.Version{Timestamp: 1, Seq: 1}
+	waitCondition(t, 5*time.Second, "save with a live peer", func() bool {
+		return seed.backend.Save(task, snap, v1) == nil
+	})
+
 	crashNode(n2)
-
-	s := waitSink(t, seed, total, 20*time.Second)
-	if !s.ExactlyOnce {
-		t.Fatalf("sink not exactly-once: %+v", s)
+	if v := seed.View(); v.member("n2") == nil || !v.member("n2").Alive {
+		t.Fatal("peer left the view before the save under test")
+	}
+	err := seed.backend.Save(task, snap, state.Version{Timestamp: 2, Seq: 2})
+	if err == nil {
+		t.Fatal("save acknowledged with its only peer crashed")
+	}
+	if held := seed.mgr.ShardsByApp()[task]; held != 0 {
+		t.Fatalf("saver holds %d of its own replicas", held)
+	}
+	if p, err := seed.mgr.LookupPlacement(task); err != nil || p.Version != v1 {
+		t.Fatalf("published placement = %v, %v; want v1 kept", p.Version, err)
 	}
 
-	// The counter must have moved off the dead node.
-	d := seed.Debug()
-	if owner := d.Assign["count"]; owner == "n2" {
-		t.Fatalf("count still assigned to crashed node: %v", d.Assign)
+	waitCondition(t, 5*time.Second, "peer declared dead", func() bool {
+		v := seed.View()
+		m := v.member("n2")
+		return m != nil && !m.Alive
+	})
+	err = seed.backend.Save(task, snap, state.Version{Timestamp: 3, Seq: 3})
+	if !errors.Is(err, recovery.ErrUnderReplicated) {
+		t.Fatalf("save with no live peer: want ErrUnderReplicated, got %v", err)
 	}
-	for _, m := range d.Members {
-		if m.Name == "n2" && m.Alive {
-			t.Fatalf("crashed node still alive in view: %+v", d.Members)
-		}
+	if c := seed.reg.Counter("sr3_recovery_save_underreplicated_total").Value(); c < 1 {
+		t.Fatalf("under-replication counter = %d", c)
 	}
 }
 

@@ -59,7 +59,8 @@ func (h *obsHub) importSpans(node string, b []byte) {
 // recovery must work with whatever survived.
 func (h *obsHub) collectDumps() []obsDumpResp {
 	var dumps []obsDumpResp
-	for _, m := range h.node.liveMembersView() {
+	v := h.node.currentView()
+	for _, m := range v.liveMembers() {
 		if m.Name == h.node.cfg.Name {
 			dumps = append(dumps, h.node.localObsDump())
 			continue

@@ -10,22 +10,24 @@ import (
 
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
 )
 
 // Wire protocol. Every sr3node serves one TCP listener; the first byte
 // of a connection selects the plane:
 //
 //	'C' — control RPC: one gob request envelope, one gob reply, close.
-//	      Join/heartbeat/view/adopt/leave plus the shard store/fetch
-//	      data-plane RPCs ride here.
+//	      Join/heartbeat/view/adopt/leave and the observability pulls
+//	      ride here.
 //	'T' — tuple stream: a gob flowHello naming the edge, then an
 //	      endless sequence of batch-codec frames (stream.EncodeTupleBatch)
-//	      carried length-delimited by nettransport.BatchConn — the PR 8
-//	      batch plane on a real inter-node link.
+//	      carried length-delimited by nettransport.BatchConn.
+//	'R' — ring traffic: one nettransport request/reply exchange for this
+//	      process's dht.Node — overlay maintenance, the placement KV, and
+//	      the recovery manager's shard stores, fetches and collections.
 const (
 	magicRPC  = 'C'
 	magicFlow = 'T'
+	magicRing = 'R'
 )
 
 // rpcTimeout bounds one control RPC round trip.
@@ -38,10 +40,12 @@ var (
 	ErrUnknownRPC = errors.New("cluster: unknown rpc kind")
 )
 
-// Member is one cluster node as the control plane sees it.
+// Member is one cluster node as the control plane sees it. Its ring ID
+// derives from Name (ringID) and its ring traffic rides Addr's ring
+// plane.
 type Member struct {
 	Name        string
-	Addr        string // cluster (RPC + flow) address
+	Addr        string // cluster (RPC + flow + ring) address
 	HTTP        string // metrics/debug address ("" when disabled)
 	Alive       bool
 	Incarnation int64 // bumped on every (re)join under the same name
@@ -66,7 +70,7 @@ func (v *View) member(name string) *Member {
 	return nil
 }
 
-// liveMembers returns the names of all live members, sorted by name.
+// liveMembers returns the live members, in join order.
 func (v *View) liveMembers() []Member {
 	var out []Member
 	for _, m := range v.Members {
@@ -97,10 +101,6 @@ type rpcEnvelope struct {
 	AdoptR    *adoptResp
 	Leave     *leaveReq
 	LeaveR    *leaveResp
-	Store     *storeShardsReq
-	StoreR    *storeShardsResp
-	Fetch     *fetchShardsReq
-	FetchR    *fetchShardsResp
 	MPull     *metricsPullReq
 	MPullR    *metricsPullResp
 	ODump     *obsDumpReq
@@ -117,6 +117,7 @@ type joinReq struct {
 type joinResp struct {
 	View View
 	Spec Spec
+	Seed string // the seed's name: joiners enter the ring through it
 }
 
 type heartbeatReq struct {
@@ -137,7 +138,7 @@ type viewResp struct {
 
 // adoptReq tells a node to host additional components (a dead node's
 // set). The node builds a new cell for them, marks stateful tasks dead,
-// and recovers their state from scattered shards; the control plane
+// and recovers their state from the ring; the control plane
 // flips routing (epoch bump) only after the adopt reply. Trace is the
 // seed's adopt span: the adopter parents its recover/fetch/replay spans
 // on it, so one kill-to-recovered incident is a single connected trace.
@@ -155,22 +156,6 @@ type leaveReq struct {
 }
 
 type leaveResp struct{}
-
-type storeShardsReq struct {
-	From   string
-	App    string
-	Shards []shard.Shard
-}
-
-type storeShardsResp struct{}
-
-type fetchShardsReq struct {
-	App string
-}
-
-type fetchShardsResp struct {
-	Shards []shard.Shard
-}
 
 // metricsPullReq asks a member for its full registry snapshot plus its
 // debug view — one federation cycle's worth of state. Issued by the

@@ -41,6 +41,7 @@ type relay struct {
 	sent        int // buf[:sent] already written to the current connection
 	replayUntil int // buf[:replayUntil] resends as replay class (reconnect window)
 	closed      bool
+	running     bool // run was started; close waits for it
 	done        chan struct{}
 	// trace is the recovery span context stamped on outbound replay-class
 	// frames (set by startCell during a traced adoption, so the replayed
@@ -108,12 +109,25 @@ func (r *relay) setTrace(tc obs.SpanContext) {
 	r.mu.Unlock()
 }
 
+// start launches the sender loop.
+func (r *relay) start() {
+	r.mu.Lock()
+	r.running = true
+	r.mu.Unlock()
+	go r.run()
+}
+
+// close stops the relay and waits for its sender loop, if it ran (a
+// cell whose recovery failed never starts its relays).
 func (r *relay) close() {
 	r.mu.Lock()
 	r.closed = true
+	running := r.running
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	<-r.done
+	if running {
+		<-r.done
+	}
 }
 
 // run is the sender loop: resolve destComp's owner from the node's

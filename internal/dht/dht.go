@@ -164,6 +164,11 @@ func (n *Node) ReportDead(other id.ID) {
 	}
 }
 
+// Learn folds a peer known from an external membership service into the
+// leaf set and routing table — the counterpart of ReportDead for a
+// deployment whose member list, not overlay traffic alone, says who is up.
+func (n *Node) Learn(other id.ID) { n.learn(other) }
+
 // OnPeerDown registers a hook invoked (outside the node lock) every time
 // ReportDead is called for a peer. Hooks fire only on explicit unreachable
 // reports from upper layers — not on routine maintenance pruning — so a

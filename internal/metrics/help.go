@@ -20,26 +20,27 @@ var helpCatalog = map[string]string{
 	"sr3_stream_degraded":              "1 while the runtime is in degraded-service mode (shedding ingest), else 0.",
 	"sr3_stream_emit_block_wait_ns":    "Per-push wait on a full bounded task queue in nanoseconds (backpressure histogram).",
 	// DHT overlay (internal/dht).
-	"sr3_dht_route_hops":              "Overlay hops per routed request, recorded at the origin node.",
-	"sr3_dht_routes_total":            "Routed requests originated by this node.",
-	"sr3_dht_route_failures_total":    "Routed requests that exhausted every forwarding attempt.",
-	"sr3_dht_leaf_learned_total":      "Nodes newly admitted to the leaf-set candidate pool (churn in).",
-	"sr3_dht_leaf_forgotten_total":    "Nodes purged from local state after being observed dead (churn out).",
-	"sr3_dht_leaf_repairs_total":      "Leaf-set repair requests issued to refill depleted halves.",
-	"sr3_dht_stored_bytes":            "Bytes of KV state (root copies and replicas) held by this node.",
-	"sr3_dht_stored_keys":             "KV records (state shards, placements) held by this node.",
-	"sr3_scribe_repairs_total":        "Multicast-tree re-join attempts after a parent death.",
-	"sr3_net_dials_total":             "TCP dial attempts (including retries).",
-	"sr3_net_dial_retries_total":      "TCP dial attempts beyond the first for one call.",
-	"sr3_net_dial_failures_total":     "Calls whose dial retry policy was exhausted.",
-	"sr3_net_io_timeouts_total":       "Request/reply exchanges aborted by the I/O deadline.",
-	"sr3_net_calls_total":             "Request/reply calls issued through the TCP transport.",
-	"sr3_net_breaker_fastfails_total": "Outbound calls rejected locally by an open circuit breaker (no dial attempted).",
-	"sr3_net_breaker_opens_total":     "Circuit-breaker open transitions (consecutive transport failures toward a peer).",
-	"sr3_net_retry_suppressed_total":  "Dial retries refused by the transport's retry budget (empty token bucket).",
-	"sr3_net_overload_rejected_total": "Inbound ingest-class requests rejected while this node was in degraded-service mode.",
-	"sr3_flight_events_total":         "Events recorded by the flight recorder.",
-	"sr3_flight_events_dropped_total": "Flight-recorder events overwritten by ring-buffer wraparound.",
+	"sr3_dht_route_hops":                      "Overlay hops per routed request, recorded at the origin node.",
+	"sr3_dht_routes_total":                    "Routed requests originated by this node.",
+	"sr3_dht_route_failures_total":            "Routed requests that exhausted every forwarding attempt.",
+	"sr3_dht_leaf_learned_total":              "Nodes newly admitted to the leaf-set candidate pool (churn in).",
+	"sr3_dht_leaf_forgotten_total":            "Nodes purged from local state after being observed dead (churn out).",
+	"sr3_dht_leaf_repairs_total":              "Leaf-set repair requests issued to refill depleted halves.",
+	"sr3_dht_stored_bytes":                    "Bytes of KV state (root copies and replicas) held by this node.",
+	"sr3_dht_stored_keys":                     "KV records (state shards, placements) held by this node.",
+	"sr3_scribe_repairs_total":                "Multicast-tree re-join attempts after a parent death.",
+	"sr3_net_dials_total":                     "TCP dial attempts (including retries).",
+	"sr3_net_dial_retries_total":              "TCP dial attempts beyond the first for one call.",
+	"sr3_net_dial_failures_total":             "Calls whose dial retry policy was exhausted.",
+	"sr3_net_io_timeouts_total":               "Request/reply exchanges aborted by the I/O deadline.",
+	"sr3_net_calls_total":                     "Request/reply calls issued through the TCP transport.",
+	"sr3_net_breaker_fastfails_total":         "Outbound calls rejected locally by an open circuit breaker (no dial attempted).",
+	"sr3_net_breaker_opens_total":             "Circuit-breaker open transitions (consecutive transport failures toward a peer).",
+	"sr3_net_retry_suppressed_total":          "Dial retries refused by the transport's retry budget (empty token bucket).",
+	"sr3_net_overload_rejected_total":         "Inbound ingest-class requests rejected while this node was in degraded-service mode.",
+	"sr3_recovery_save_underreplicated_total": "State saves refused because no live leaf-set peer could hold an off-node copy.",
+	"sr3_flight_events_total":                 "Events recorded by the flight recorder.",
+	"sr3_flight_events_dropped_total":         "Flight-recorder events overwritten by ring-buffer wraparound.",
 	// Cluster node liveness (internal/cluster), present on every member
 	// so a federated scrape always carries at least these families.
 	"sr3_node_up":          "1 while this sr3node process is running (liveness baseline for federation).",

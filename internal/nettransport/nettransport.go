@@ -1,10 +1,11 @@
 // Package nettransport runs the overlay over real TCP sockets: it
-// implements simnet.Transport with one listener per node and gob-encoded
-// request/reply frames, so the same DHT/Scribe/recovery code that runs
-// in-process also runs across actual network connections. Intended for
-// loopback integration tests and small multi-process deployments; the
-// address registry is local to one Network value (a production deployment
-// would bootstrap addresses out of band).
+// implements simnet.Transport with gob-encoded request/reply frames, so
+// the same DHT/Scribe/recovery code that runs in-process also runs
+// across actual network connections. Nodes registered on a Network are
+// served either on a loopback listener of their own (New) or on a
+// listener the caller owns and multiplexes (NewShared); nodes living in
+// other processes are reached through the peer address book (AddPeer),
+// which the caller keeps in step with its membership service.
 package nettransport
 
 import (
@@ -152,19 +153,26 @@ type wireReply struct {
 }
 
 type server struct {
-	ln      net.Listener
+	ln      net.Listener // nil on a shared Network: the owner accepts
 	handler simnet.Handler
 	down    bool
 	wg      sync.WaitGroup
 }
 
 // Network is a TCP-backed simnet.Transport: every registered node gets a
-// loopback listener, and Call dials the peer and exchanges one gob frame
-// pair per request.
+// loopback listener (or, on a shared Network, is served on its owner's
+// listener), and Call dials the peer and exchanges one gob frame pair per
+// request.
 type Network struct {
-	mu        sync.RWMutex
-	servers   map[id.ID]*server
-	addrs     map[id.ID]string
+	mu      sync.RWMutex
+	servers map[id.ID]*server
+	// addrs resolves every callable node: local ones to their listener,
+	// booked remote peers (AddPeer) to the address their process serves.
+	addrs map[id.ID]string
+	// plane is the first byte of every dialed connection on a shared
+	// Network (0 otherwise); self is the address its owner advertises.
+	plane     byte
+	self      string
 	closed    bool
 	ioTimeout time.Duration
 	// peerTimeout holds per-peer deadline overrides (escalation policy:
@@ -234,6 +242,51 @@ func New() *Network {
 		addrs:       make(map[id.ID]string),
 		peerTimeout: make(map[id.ID]time.Duration),
 		ioTimeout:   DefaultIOTimeout,
+	}
+}
+
+// NewShared returns a transport for a process that already serves a
+// listener and multiplexes planes on a connection's first byte: Register
+// binds no socket, every dial opens with the plane byte, and the
+// listener's owner hands each connection that opened with it to
+// ServeConn. self is the address the owner advertises to its peers.
+func NewShared(plane byte, self string) *Network {
+	n := New()
+	n.plane, n.self = plane, self
+	return n
+}
+
+// ServeConn serves one request/reply exchange for the locally registered
+// node nid on a connection the owner accepted (the plane byte already
+// consumed). It returns once the exchange is done or fails.
+func (n *Network) ServeConn(nid id.ID, conn net.Conn) {
+	n.mu.RLock()
+	srv := n.servers[nid]
+	n.mu.RUnlock()
+	if srv == nil {
+		return
+	}
+	n.serveConn(nid, srv, conn)
+}
+
+// AddPeer books the address of a node served by another process: calls
+// to nid dial addr, and Alive reports nid reachable until RemovePeer.
+// Booking a node registered on this Network is a no-op.
+func (n *Network) AddPeer(nid id.ID, addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, local := n.servers[nid]; !local {
+		n.addrs[nid] = addr
+	}
+}
+
+// RemovePeer drops a booked peer: later calls to it fail fast with
+// ErrUnknownNode, without a dial, and Alive reports it unreachable.
+func (n *Network) RemovePeer(nid id.ID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, local := n.servers[nid]; !local {
+		delete(n.addrs, nid)
 	}
 }
 
@@ -338,7 +391,8 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Register starts a listener for the node and serves its handler.
+// Register starts a listener for the node and serves its handler (on a
+// shared Network it only records the handler for ServeConn).
 func (n *Network) Register(nid id.ID, h simnet.Handler) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -347,6 +401,11 @@ func (n *Network) Register(nid id.ID, h simnet.Handler) error {
 	}
 	if _, ok := n.servers[nid]; ok {
 		return fmt.Errorf("register %s: %w", nid.Short(), ErrDuplicate)
+	}
+	if n.plane != 0 {
+		n.servers[nid] = &server{handler: h}
+		n.addrs[nid] = n.self
+		return nil
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -481,20 +540,22 @@ func (n *Network) call(from, to id.ID, msg simnet.Message, timeout time.Duration
 	}
 	n.mu.RLock()
 	src, srcOK := n.servers[from]
+	srcDown := srcOK && src.down
 	addr, dstOK := n.addrs[to]
-	dst, dstReg := n.servers[to]
+	dst := n.servers[to] // nil for a booked remote peer
+	dstDown := dst != nil && dst.down
 	n.mu.RUnlock()
 
 	if !srcOK {
 		return simnet.Message{}, fmt.Errorf("call from %s: %w", from.Short(), ErrUnknownNode)
 	}
-	if src.down {
+	if srcDown {
 		return simnet.Message{}, fmt.Errorf("call from %s: %w", from.Short(), ErrNodeDown)
 	}
-	if !dstOK || !dstReg {
+	if !dstOK {
 		return simnet.Message{}, fmt.Errorf("call to %s: %w", to.Short(), ErrUnknownNode)
 	}
-	if dst.down {
+	if dstDown {
 		// The listener is closed, but fail fast rather than waiting for
 		// a connection-refused round trip.
 		return simnet.Message{}, fmt.Errorf("call to %s: %w", to.Short(), ErrNodeDown)
@@ -536,6 +597,11 @@ func (n *Network) exchange(from, to id.ID, addr string, msg simnet.Message, time
 	// frames refresh it per chunk (frame.go).
 	fio := frameIO{conn: conn, r: bufio.NewReader(conn), timeout: timeout}
 	fio.refresh()
+	if n.plane != 0 {
+		if _, err := conn.Write([]byte{n.plane}); err != nil {
+			return simnet.Message{}, true, fmt.Errorf("call to %s: plane: %w", to.Short(), err)
+		}
+	}
 
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(fio.r)
@@ -605,12 +671,16 @@ func (n *Network) exchange(from, to id.ID, addr string, msg simnet.Message, time
 	return out, false, nil
 }
 
-// Alive reports whether nid is registered and its listener is serving.
+// Alive reports whether nid is registered and serving, or is a booked
+// remote peer.
 func (n *Network) Alive(nid id.ID) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	srv, ok := n.servers[nid]
-	return ok && !srv.down
+	if srv, ok := n.servers[nid]; ok {
+		return !srv.down
+	}
+	_, booked := n.addrs[nid]
+	return booked
 }
 
 // Fail crashes a node: its listener closes and callers get connection
@@ -620,7 +690,9 @@ func (n *Network) Fail(nid id.ID) {
 	srv, ok := n.servers[nid]
 	if ok && !srv.down {
 		srv.down = true
-		_ = srv.ln.Close()
+		if srv.ln != nil {
+			_ = srv.ln.Close()
+		}
 	}
 	n.mu.Unlock()
 }
@@ -641,7 +713,9 @@ func (n *Network) Close() {
 	for _, srv := range n.servers {
 		if !srv.down {
 			srv.down = true
-			_ = srv.ln.Close()
+			if srv.ln != nil {
+				_ = srv.ln.Close()
+			}
 		}
 		servers = append(servers, srv)
 	}

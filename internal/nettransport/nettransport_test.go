@@ -240,68 +240,149 @@ func TestConcurrentCallsOverTCP(t *testing.T) {
 }
 
 // TestSR3RecoveryOverTCP exercises the full save/recover path over real
-// sockets: a state is sharded onto leaf-set nodes through TCP, the owner
-// crashes, and star recovery fetches and reassembles the shards over the
-// wire.
+// sockets with every node on its own Network, as if each ran in its own
+// process: peers reach each other only through the address book. A state
+// is sharded onto leaf-set nodes, the owner crashes, the survivors drop
+// it from their books (the membership verdict), and each mechanism
+// rebuilds the state over the wire.
 func TestSR3RecoveryOverTCP(t *testing.T) {
 	dht.RegisterWire()
 	recovery.RegisterWire()
-	n := New()
-	defer n.Close()
 
-	const nodes = 14
+	const nodes = 10
 	cfg := dht.Config{LeafSetSize: 8, KVReplicas: 2}
-	all := make([]*dht.Node, 0, nodes)
-	mgrs := make(map[id.ID]*recovery.Manager, nodes)
-	for i := 0; i < nodes; i++ {
-		node, err := dht.NewNode(id.HashKey(fmt.Sprintf("sr3-tcp-%d", i)), n, cfg)
+	nets := make([]*Network, nodes)
+	all := make([]*dht.Node, nodes)
+	mgrs := make([]*recovery.Manager, nodes)
+	for i := range all {
+		nets[i] = New()
+		defer nets[i].Close()
+		node, err := dht.NewNode(id.HashKey(fmt.Sprintf("sr3-tcp-%d", i)), nets[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		all[i] = node
+	}
+	for i := range all {
+		for j, peer := range all {
+			if i != j {
+				addr, _ := nets[j].Addr(peer.ID())
+				nets[i].AddPeer(peer.ID(), addr)
+			}
+		}
+	}
+	for i, node := range all {
 		if i == 0 {
 			node.Bootstrap()
 		} else if err := node.Join(all[0].ID()); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
-		mgrs[node.ID()] = recovery.NewManager(node)
-		all = append(all, node)
+		mgrs[i] = recovery.NewManager(node)
 	}
 
 	snap := make([]byte, 40_000)
 	rand.New(rand.NewSource(7)).Read(snap)
-	owner := all[4]
-	mgr := mgrs[owner.ID()]
-	placement, err := mgr.Save("tcp-app", snap, 6, 2, mgr.NextVersion(1))
+	const owner = 4
+	placement, err := mgrs[owner].Save("tcp-app", snap, 6, 2, mgrs[owner].NextVersion(1))
 	if err != nil {
 		t.Fatalf("save over tcp: %v", err)
 	}
-
-	// Crash the owner; a surviving node fetches one live replica of every
-	// shard index over the wire and reassembles.
-	n.Fail(owner.ID())
-	var replacement *dht.Node
-	for _, node := range all {
-		if node.ID() != owner.ID() {
-			node.MaintenanceTick()
-			if replacement == nil {
-				replacement = node
-			}
+	for _, h := range placement.Holders() {
+		if h == all[owner].ID() {
+			t.Fatal("save placed a replica on the saver")
 		}
 	}
-	replMgr := mgrs[replacement.ID()]
-	lookup, err := replMgr.LookupPlacement("tcp-app")
+
+	nets[owner].Close()
+	for i, node := range all {
+		if i != owner {
+			nets[i].RemovePeer(all[owner].ID())
+			node.ReportDead(all[owner].ID())
+		}
+	}
+	repl := mgrs[(owner+1)%nodes]
+	for _, mech := range []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree} {
+		res, err := repl.RecoverDirect("tcp-app", mech, recovery.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s recovery over tcp: %v", mech, err)
+		}
+		if res.Version != placement.Version || !bytes.Equal(res.Snapshot, snap) {
+			t.Fatalf("%s: recovered state differs after TCP recovery", mech)
+		}
+	}
+}
+
+// TestSharedListenerPeers runs two shared Networks, each served on a
+// listener its owner multiplexes by first byte, that reach each other only
+// through AddPeer: a raw-body round trip crosses them, and RemovePeer
+// turns the peer unreachable without a dial.
+func TestSharedListenerPeers(t *testing.T) {
+	const plane = 'R'
+	type proc struct {
+		net *Network
+		nid id.ID
+	}
+	start := func(name string) proc {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		p := proc{net: NewShared(plane, ln.Addr().String()), nid: id.HashKey(name)}
+		t.Cleanup(p.net.Close)
+		echo := func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+			return simnet.Message{Kind: "echo", Raw: append([]byte(name+":"), msg.Raw...)}, nil
+		}
+		if err := p.net.Register(p.nid, echo); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer func() { _ = conn.Close() }()
+					var b [1]byte
+					if _, err := conn.Read(b[:]); err != nil || b[0] != plane {
+						return
+					}
+					p.net.ServeConn(p.nid, conn)
+				}()
+			}
+		}()
+		return p
+	}
+	a, b := start("a"), start("b")
+	if a.net.Alive(b.nid) {
+		t.Fatal("unbooked peer reported alive")
+	}
+	addrB, _ := b.net.Addr(b.nid)
+	a.net.AddPeer(b.nid, addrB)
+	if !a.net.Alive(b.nid) {
+		t.Fatal("booked peer reported dead")
+	}
+	body := bytes.Repeat([]byte("x"), 200_000)
+	resp, err := a.net.Call(a.nid, b.nid, simnet.Message{Kind: "ping", Raw: body})
 	if err != nil {
-		t.Fatalf("placement lookup over tcp: %v", err)
+		t.Fatalf("call across shared listeners: %v", err)
 	}
-	if lookup.Owner != placement.Owner || lookup.M != placement.M {
-		t.Fatal("placement mismatch after wire round trip")
+	if want := append([]byte("b:"), body...); !bytes.Equal(resp.Raw, want) {
+		t.Fatalf("reply body of %d bytes, want %d", len(resp.Raw), len(want))
 	}
-	got, err := replMgr.CollectStarForTest("tcp-app", lookup)
-	if err != nil {
-		t.Fatalf("star recovery over tcp: %v", err)
+	resp.ReleaseRaw()
+
+	a.net.RemovePeer(b.nid)
+	if a.net.Alive(b.nid) {
+		t.Fatal("removed peer still reported alive")
 	}
-	if !bytes.Equal(got, snap) {
-		t.Fatal("recovered state differs after TCP recovery")
+	if _, err := a.net.Call(a.nid, b.nid, simnet.Message{Kind: "ping"}); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("call to removed peer: want ErrUnknownNode, got %v", err)
+	}
+	a.net.RemovePeer(a.nid) // a local node is never un-booked
+	if !a.net.Alive(a.nid) {
+		t.Fatal("RemovePeer dropped a local node")
 	}
 }
 

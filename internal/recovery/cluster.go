@@ -57,15 +57,6 @@ func (c *Cluster) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// AttachNode adds a manager for a node joined after cluster creation.
-func (c *Cluster) AttachNode(n *dht.Node) *Manager {
-	m := NewManager(n)
-	m.SetTracer(c.tracer)
-	m.SetDegradedCheck(c.IsDegraded)
-	c.managers[n.ID()] = m
-	return m
-}
-
 // Result reports one completed recovery.
 type Result struct {
 	App         string
@@ -178,39 +169,7 @@ func (c *Cluster) recover(app string, mech Mechanism, opts Options) (Result, err
 	plan.SetInt("providers", int64(len(stages)))
 	plan.End()
 
-	rm := c.managers[replacement]
-	oc := newOutcomeRecorder()
-	a := newAssembler(placement)
-	switch mech {
-	case Star:
-		err = rm.collectStar(app, placement, opts, oc, a)
-	case Line:
-		err = rm.collectLine(app, stages, placement, opts, oc, a)
-	case Tree:
-		err = rm.collectTree(app, stages, 1<<clampBit(opts.TreeFanoutBit), placement, opts, oc, a)
-	default:
-		return Result{}, fmt.Errorf("recover %q: %d: %w", app, mech, ErrBadMechanism)
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", app, mech, err)
-	}
-
-	snapshot, err := a.bytes()
-	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", app, mech, err)
-	}
-	rm.SetRecovered(app, snapshot)
-	merged, _ := a.stats()
-	return Result{
-		App:         app,
-		Mechanism:   mech,
-		Replacement: replacement,
-		Snapshot:    snapshot,
-		Version:     placement.Version,
-		Providers:   len(stages),
-		ShardsMoved: merged,
-		Outcome:     oc.snapshot(),
-	}, nil
+	return c.managers[replacement].recoverStages(placement, stages, mech, opts)
 }
 
 // RecoverMany handles simultaneous failures: each lost state is rebuilt
@@ -259,10 +218,9 @@ func (c *Cluster) pickReplacement(owner id.ID) (id.ID, bool) {
 }
 
 // liveStages picks, for every shard index, one live replica holder, then
-// groups indices by holder. Holders are ordered by ring distance from the
-// replacement, farthest first (so line chains end near the replacement,
-// as in Fig 4). Degraded holders are chosen only when no healthy replica
-// of an index survives — the planning half of gray-failure rerouting.
+// groups indices by holder (groupStages). Degraded holders are chosen
+// only when no healthy replica of an index survives — the planning half
+// of gray-failure rerouting.
 func (c *Cluster) liveStages(p shard.Placement, replacement id.ID) ([]stage, error) {
 	byHolder := make(map[id.ID][]int)
 	for i := 0; i < p.M; i++ {
@@ -271,7 +229,7 @@ func (c *Cluster) liveStages(p shard.Placement, replacement id.ID) ([]stage, err
 		for pass := 0; pass < 2 && !found; pass++ {
 			for _, h := range p.NodesForIndex(i) {
 				if !c.Ring.Net.Alive(h) || c.managers[h] == nil ||
-					!c.managers[h].hasIndex(p.App, i) {
+					!c.managers[h].hasShardAt(p.App, i, state.Version{}) {
 					continue
 				}
 				if pass == 0 && c.IsDegraded(h) {
@@ -287,37 +245,7 @@ func (c *Cluster) liveStages(p shard.Placement, replacement id.ID) ([]stage, err
 		}
 		byHolder[chosen] = append(byHolder[chosen], i)
 	}
-	holders := make([]id.ID, 0, len(byHolder))
-	for h := range byHolder {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool {
-		di := id.Distance(holders[i], replacement)
-		dj := id.Distance(holders[j], replacement)
-		if cmp := di.Cmp(dj); cmp != 0 {
-			return cmp > 0 // farthest first
-		}
-		return holders[i].Less(holders[j])
-	})
-	stages := make([]stage, 0, len(holders))
-	for _, h := range holders {
-		idx := byHolder[h]
-		sort.Ints(idx)
-		stages = append(stages, stage{Node: h, Indices: idx})
-	}
-	return stages, nil
-}
-
-// hasIndex reports whether this manager stores any replica of the index.
-func (m *Manager) hasIndex(app string, index int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.shards {
-		if k.App == app && k.Index == index {
-			return true
-		}
-	}
-	return false
+	return groupStages(byHolder, replacement), nil
 }
 
 func clampBit(b int) int {
@@ -385,32 +313,38 @@ func (m *Manager) collectStar(app string, p shard.Placement, opts Options, oc *o
 func (m *Manager) fetchIndexRetryInto(a *assembler, app string, index int, p shard.Placement, opts Options, oc *outcomeRecorder) (int, error) {
 	sp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseFetch)
 	sp.SetInt("index", int64(index))
-	n, err := m.fetchIndexRetry(a, app, index, p, opts, oc, sp.Ctx())
+	n, peer, err := m.fetchIndexRetry(a, app, index, p, opts, oc, sp.Ctx())
+	if err == nil {
+		sp.SetStr("peer", peer.Short())
+	}
 	sp.SetInt("bytes", int64(n))
 	sp.EndErr(err)
 	return n, err
 }
 
-func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.Placement, opts Options, oc *outcomeRecorder, tc obs.SpanContext) (int, error) {
+// fetchIndexRetry is fetchIndexRetryInto's retry loop; it also returns
+// the holder that served the index.
+func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.Placement, opts Options, oc *outcomeRecorder, tc obs.SpanContext) (int, id.ID, error) {
 	// Replica demotion: degraded holders move to the back of the try
 	// order, so a slow replica is consulted only after healthy ones fail.
 	holders := m.demoteDegraded(p.NodesForIndex(index))
 	inline := opts.SequentialFetch
 	if opts.Speculate && len(holders) > 1 {
 		type res struct {
-			n  int
-			ok bool
+			n    int
+			peer id.ID
+			ok   bool
 		}
 		ch := make(chan res, 2)
 		for _, h := range holders[:2] {
 			go func(h id.ID) {
 				n, err := m.fetchInto(a, h, app, index, inline, opts.Tracer, tc)
-				ch <- res{n, err == nil}
+				ch <- res{n, h, err == nil}
 			}(h)
 		}
 		for i := 0; i < 2; i++ {
 			if r := <-ch; r.ok {
-				return r.n, nil
+				return r.n, r.peer, nil
 			}
 		}
 	}
@@ -430,7 +364,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 					oc.failover(1, n)
 				}
 				opts.RetryBudget.Earn()
-				return n, nil
+				return n, h, nil
 			}
 			// A shard that arrived but failed validation counts like a
 			// missing replica, not a dead node.
@@ -440,15 +374,15 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 		}
 		if round >= rounds {
 			if opts.DisableFailover {
-				return 0, fmt.Errorf("shard index %d: %w", index, ErrShardLost)
+				return 0, id.ID{}, fmt.Errorf("shard index %d: %w", index, ErrShardLost)
 			}
-			return 0, fmt.Errorf("shard index %d: %w", index, ErrReplicasExhausted)
+			return 0, id.ID{}, fmt.Errorf("shard index %d: %w", index, ErrReplicasExhausted)
 		}
 		// Every extra pass must be funded by the retry budget; the first
 		// pass above was free. Suppression reads as exhaustion to the
 		// ladder, with ErrRetryBudget attached for the post-mortem.
 		if !opts.RetryBudget.Allow() {
-			return 0, fmt.Errorf("shard index %d after %d rounds: %w: %w",
+			return 0, id.ID{}, fmt.Errorf("shard index %d after %d rounds: %w: %w",
 				index, round+1, ErrReplicasExhausted, ErrRetryBudget)
 		}
 		oc.attempt()
@@ -457,44 +391,56 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 	}
 }
 
-// fetchInto retrieves one replica of (app, index) from holder and merges
-// it straight into the assembler — the recovery hot path. Over a
-// serializing transport the shard body arrives as chunked frames in a
-// pooled buffer; the assembler copies it into its final snapshot position
-// and the buffer is released, so no whole-shard intermediate copy is ever
-// made. inline selects the legacy payload-embedded encoding (the
-// benchmark baseline). tc stamps the fetch request so remote stall spans
-// and the merge span parent on the enclosing fetch.
-func (m *Manager) fetchInto(a *assembler, holder id.ID, app string, index int, inline bool, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+// fetchIndex asks holder for a replica of (app, index) at version v
+// (the newest held when v is zero). Over a serializing transport the
+// shard body arrives as chunked frames in a pooled buffer that the
+// returned Data aliases until release is called. inline selects the
+// legacy payload-embedded encoding (the benchmark baseline); tc stamps
+// the request so remote stall spans parent on the enclosing fetch.
+func (m *Manager) fetchIndex(holder id.ID, app string, index int, v state.Version, inline bool, tc obs.SpanContext) (s shard.Shard, release func(), err error) {
 	if holder == m.node.ID() {
-		ss := m.localShardsFor(app, []int{index})
+		ss := m.localShardsFor(app, v, []int{index})
 		if len(ss) == 0 {
-			return 0, ErrShardLost
+			return shard.Shard{}, nil, ErrShardLost
 		}
-		return mergeTraced(a, ss[0], tr, tc)
+		return ss[0], func() {}, nil
 	}
 	resp, err := m.node.Send(holder, simnet.Message{
 		Kind:    kindFetchIndex,
 		Size:    msgHeader + len(app) + 8,
-		Payload: &fetchIndexRequest{App: app, Index: index, Inline: inline},
+		Payload: &fetchIndexRequest{App: app, Index: index, Version: v, Inline: inline},
 		TraceID: tc.Trace,
 		SpanID:  tc.Span,
 	})
 	if err != nil {
-		return 0, err
+		return shard.Shard{}, nil, err
 	}
-	defer resp.ReleaseRaw()
 	reply, ok := resp.Payload.(*fetchReply)
-	if !ok {
-		return 0, fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
+	if !ok || !reply.Found {
+		resp.ReleaseRaw()
+		if !ok {
+			return shard.Shard{}, nil, fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
+		}
+		return shard.Shard{}, nil, ErrShardLost
 	}
-	if !reply.Found {
-		return 0, ErrShardLost
-	}
-	s := reply.Shard
+	s = reply.Shard
 	if s.Data == nil {
 		s.Data = resp.Raw
 	}
+	return s, resp.ReleaseRaw, nil
+}
+
+// fetchInto retrieves one replica of the assembled version of (app,
+// index) from holder and merges it straight into the assembler — the
+// recovery hot path: the assembler copies the body into its final
+// snapshot position and the transport buffer is released, so no
+// whole-shard intermediate copy is ever made.
+func (m *Manager) fetchInto(a *assembler, holder id.ID, app string, index int, inline bool, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+	s, release, err := m.fetchIndex(holder, app, index, a.version, inline, tc)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
 	return mergeTraced(a, s, tr, tc)
 }
 
@@ -511,37 +457,16 @@ func mergeTraced(a *assembler, s shard.Shard, tr *obs.Tracer, tc obs.SpanContext
 	return n, err
 }
 
-// fetchFrom retrieves one replica of (app, index) from holder with an
-// owned Data copy — the repair path's donor fetch, which re-pushes the
-// shard long after the transport buffer is recycled.
+// fetchFrom retrieves the newest replica of (app, index) from holder
+// with an owned Data copy — the repair path's donor fetch, which
+// re-pushes the shard long after the transport buffer is recycled.
 func (m *Manager) fetchFrom(holder id.ID, app string, index int) (shard.Shard, error) {
-	if holder == m.node.ID() {
-		ss := m.localShardsFor(app, []int{index})
-		if len(ss) == 0 {
-			return shard.Shard{}, ErrShardLost
-		}
-		return ss[0], nil
-	}
-	resp, err := m.node.Send(holder, simnet.Message{
-		Kind:    kindFetchIndex,
-		Size:    msgHeader + len(app) + 8,
-		Payload: &fetchIndexRequest{App: app, Index: index},
-	})
+	s, release, err := m.fetchIndex(holder, app, index, state.Version{}, false, obs.SpanContext{})
 	if err != nil {
 		return shard.Shard{}, err
 	}
-	defer resp.ReleaseRaw()
-	reply, ok := resp.Payload.(*fetchReply)
-	if !ok {
-		return shard.Shard{}, fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
-	}
-	if !reply.Found {
-		return shard.Shard{}, ErrShardLost
-	}
-	s := reply.Shard
-	if s.Data == nil && len(resp.Raw) > 0 {
-		s.Data = append([]byte(nil), resp.Raw...)
-	}
+	defer release()
+	s.Data = append([]byte(nil), s.Data...)
 	return s, nil
 }
 
@@ -555,7 +480,7 @@ func (m *Manager) mergeLocal(a *assembler, app string, stages []stage) (remote [
 			remote = append(remote, st)
 			continue
 		}
-		for _, s := range m.localShardsFor(app, st.Indices) {
+		for _, s := range m.localShardsFor(app, a.version, st.Indices) {
 			// A mismatch just leaves the index missing; failover covers it.
 			n, _ := a.add(s)
 			merged += n
@@ -655,6 +580,22 @@ func segmentStages(chain []stage, depth int) [][]stage {
 	return out
 }
 
+// startFetch opens the PhaseFetch span of one line or tree collection
+// request sent to peer (nil when the recovery is untraced) and returns
+// the context the request should carry, so the provider-side collect
+// spans nest under the fetch.
+func startFetch(opts Options, peer id.ID) (*obs.Span, obs.SpanContext) {
+	if !opts.TraceParent.Valid() {
+		return nil, opts.TraceParent
+	}
+	sp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseFetch)
+	sp.SetStr("peer", peer.Short())
+	if c := sp.Ctx(); c.Valid() {
+		return sp, c
+	}
+	return sp, opts.TraceParent
+}
+
 // collectLine runs the chain collection (paper §3.5), pipelined: the
 // chain is cut into opts.PipelineDepth segments whose sub-chains collect
 // concurrently, so the replacement merges one segment's shards into the
@@ -688,13 +629,15 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 	ch := make(chan segOut, len(segs))
 	for _, seg := range segs {
 		go func(seg []stage) {
+			sp, tc := startFetch(opts, seg[0].Node)
 			resp, err := m.node.Send(seg[0].Node, simnet.Message{
 				Kind:    kindLineCollect,
 				Size:    msgHeader + 64,
-				Payload: &lineCollectMsg{App: app, Chain: seg, NoFailover: opts.DisableFailover},
-				TraceID: opts.TraceParent.Trace,
-				SpanID:  opts.TraceParent.Span,
+				Payload: &lineCollectMsg{App: app, Version: p.Version, Chain: seg, NoFailover: opts.DisableFailover},
+				TraceID: tc.Trace,
+				SpanID:  tc.Span,
 			})
+			sp.EndErr(err)
 			ch <- segOut{resp: resp, head: seg[0].Node, err: err}
 		}(seg)
 	}
@@ -754,13 +697,15 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 		oc.attempt()
 		chain, gained := m.mergeLocal(a, app, next)
 		if len(chain) > 0 {
+			sp, tc := startFetch(opts, chain[0].Node)
 			resp, err := m.node.Send(chain[0].Node, simnet.Message{
 				Kind:    kindLineCollect,
 				Size:    msgHeader + 64,
-				Payload: &lineCollectMsg{App: app, Chain: chain},
-				TraceID: opts.TraceParent.Trace,
-				SpanID:  opts.TraceParent.Span,
+				Payload: &lineCollectMsg{App: app, Version: p.Version, Chain: chain},
+				TraceID: tc.Trace,
+				SpanID:  tc.Span,
 			})
+			sp.EndErr(err)
 			if err != nil {
 				oc.deadNode(chain[0].Node)
 				dead[chain[0].Node] = true
@@ -838,13 +783,15 @@ func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Pl
 	ch := make(chan treeOut, len(roots))
 	for _, rt := range roots {
 		go func(rt *treeNode) {
+			sp, tc := startFetch(opts, rt.Stage.Node)
 			resp, err := m.node.Send(rt.Stage.Node, simnet.Message{
 				Kind:    kindTreeCollect,
 				Size:    msgHeader + 64,
-				Payload: &treeCollectMsg{App: app, Tree: rt, NoFailover: opts.DisableFailover},
-				TraceID: opts.TraceParent.Trace,
-				SpanID:  opts.TraceParent.Span,
+				Payload: &treeCollectMsg{App: app, Version: p.Version, Tree: rt, NoFailover: opts.DisableFailover},
+				TraceID: tc.Trace,
+				SpanID:  tc.Span,
 			})
+			sp.EndErr(err)
 			ch <- treeOut{resp: resp, root: rt.Stage.Node, err: err}
 		}(rt)
 	}
@@ -894,18 +841,6 @@ func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Pl
 		}
 	}
 	return nil
-}
-
-// CollectStarForTest runs the star collection and assembly directly on
-// this manager — the transport-agnostic recovery path used by the
-// TCP-transport integration tests, which have no Ring to coordinate
-// through.
-func (m *Manager) CollectStarForTest(app string, p shard.Placement) ([]byte, error) {
-	a := newAssembler(p)
-	if err := m.collectStar(app, p, DefaultOptions(), newOutcomeRecorder(), a); err != nil {
-		return nil, err
-	}
-	return a.bytes()
 }
 
 // RecoverAndReprotect completes the failure-handling lifecycle: the state

@@ -13,7 +13,8 @@ import (
 // placement: each shard index is served by its first replica holder the
 // transport reports reachable. It is Cluster.Recover minus the ring
 // coordination — the recovery path for deployments (and benchmarks) where
-// nodes share only a transport, such as the TCP data-plane harness.
+// nodes share only a transport: the sr3node cluster and the TCP
+// data-plane harness.
 func (m *Manager) RecoverDirect(app string, mech Mechanism, opts Options) (Result, error) {
 	p, err := m.LookupPlacement(app)
 	if err != nil {
@@ -23,8 +24,16 @@ func (m *Manager) RecoverDirect(app string, mech Mechanism, opts Options) (Resul
 	if err != nil {
 		return Result{}, fmt.Errorf("recover %q: %w", app, err)
 	}
+	return m.recoverStages(p, stages, mech, opts)
+}
+
+// recoverStages runs mech on this manager — the replacement — over the
+// planned provider stages, and installs the assembled snapshot.
+func (m *Manager) recoverStages(p shard.Placement, stages []stage, mech Mechanism, opts Options) (Result, error) {
+	app := p.App
 	oc := newOutcomeRecorder()
 	a := newAssembler(p)
+	var err error
 	switch mech {
 	case Star:
 		err = m.collectStar(app, p, opts, oc, a)
@@ -75,6 +84,13 @@ func stagesFromPlacement(p shard.Placement, replacement id.ID, alive func(id.ID)
 			return nil, fmt.Errorf("shard index %d: %w", i, ErrShardLost)
 		}
 	}
+	return groupStages(byHolder, replacement), nil
+}
+
+// groupStages turns per-index holder choices into stages, holders
+// ordered by ring distance from the replacement, farthest first (so line
+// chains end near the replacement, as in Fig 4).
+func groupStages(byHolder map[id.ID][]int, replacement id.ID) []stage {
 	holders := make([]id.ID, 0, len(byHolder))
 	for h := range byHolder {
 		holders = append(holders, h)
@@ -93,5 +109,5 @@ func stagesFromPlacement(p shard.Placement, replacement id.ID, alive func(id.ID)
 		sort.Ints(idx)
 		stages = append(stages, stage{Node: h, Indices: idx})
 	}
-	return stages, nil
+	return stages
 }

@@ -51,21 +51,16 @@ func (c *Cluster) DegradedIDs() []id.ID {
 }
 
 // SetDegradedCheck installs the predicate the mechanism executors
-// consult when ordering replica holders. NewCluster and AttachNode wire
-// it to Cluster.IsDegraded; standalone managers (TCP-transport tests)
-// may leave it nil, which disables degraded routing.
+// consult when ordering replica holders. NewCluster wires it to
+// Cluster.IsDegraded; standalone managers (an sr3node's, the
+// TCP-transport tests') may leave it nil, which disables degraded
+// routing.
 func (m *Manager) SetDegradedCheck(f func(id.ID) bool) {
 	if f == nil {
 		m.slowCheck.Store(nil)
 		return
 	}
 	m.slowCheck.Store(&f)
-}
-
-// isDegraded consults the installed predicate (false when none is set).
-func (m *Manager) isDegraded(nid id.ID) bool {
-	f := m.slowCheck.Load()
-	return f != nil && (*f)(nid)
 }
 
 // demoteDegraded stable-reorders replica holders so healthy ones are

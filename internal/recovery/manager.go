@@ -8,6 +8,7 @@ import (
 
 	"sr3/internal/dht"
 	"sr3/internal/id"
+	"sr3/internal/metrics"
 	"sr3/internal/obs"
 	"sr3/internal/shard"
 	"sr3/internal/simnet"
@@ -18,7 +19,6 @@ import (
 const (
 	kindStore       = "sr3.shard.store"
 	kindStoreBatch  = "sr3.shard.storeBatch"
-	kindFetch       = "sr3.shard.fetch"
 	kindFetchIndex  = "sr3.shard.fetchIndex"
 	kindLineCollect = "sr3.line.collect"
 	kindTreeCollect = "sr3.tree.collect"
@@ -45,24 +45,41 @@ type Manager struct {
 	// the owning Cluster; nil disables degraded routing.
 	slowCheck atomic.Pointer[func(id.ID) bool]
 
+	// underReplicated counts saves refused for want of a live off-node
+	// holder (nil until SetMetrics).
+	underReplicated atomic.Pointer[metrics.Counter]
+
 	mu         sync.Mutex
-	shards     map[shard.Key]shard.Shard
+	held       map[string]*heldApp
 	placements map[string]shard.Placement
-	recovered  map[string][]byte
-	saveSeq    uint64
+	// saving serializes the saves of one app, so a slow re-save of an
+	// older version cannot publish over a newer one.
+	saving    map[string]*sync.Mutex
+	recovered map[string][]byte
+	saveSeq   uint64
+}
+
+// heldApp is one app's replicas stored on this node: those of the newest
+// version seen, then those of the version it superseded, kept until the
+// next supersession. A saver killed mid-save leaves its newest version
+// incomplete while the last published placement still names the one
+// before, so that one must stay fetchable.
+type heldApp [2]struct {
+	version state.Version
+	shards  map[shard.Key]shard.Shard
 }
 
 // NewManager attaches an SR3 manager to a DHT node.
 func NewManager(n *dht.Node) *Manager {
 	m := &Manager{
 		node:       n,
-		shards:     make(map[shard.Key]shard.Shard),
+		held:       make(map[string]*heldApp),
 		placements: make(map[string]shard.Placement),
+		saving:     make(map[string]*sync.Mutex),
 		recovered:  make(map[string][]byte),
 	}
 	n.HandleDirect(kindStore, m.handleStore)
 	n.HandleDirect(kindStoreBatch, m.handleStoreBatch)
-	n.HandleDirect(kindFetch, m.handleFetch)
 	n.HandleDirect(kindFetchIndex, m.handleFetchIndex)
 	n.HandleDirect(kindLineCollect, m.handleLineCollect)
 	n.HandleDirect(kindTreeCollect, m.handleTreeCollect)
@@ -78,11 +95,18 @@ func (m *Manager) SetTracer(tr *obs.Tracer) { m.tracer.Store(tr) }
 // getTracer returns the node's tracer (nil when tracing is off).
 func (m *Manager) getTracer() *obs.Tracer { return m.tracer.Load() }
 
+// SetMetrics publishes the manager's counters into reg.
+func (m *Manager) SetMetrics(reg *metrics.Registry) {
+	m.underReplicated.Store(reg.Counter("sr3_recovery_save_underreplicated_total"))
+}
+
 // ShardCount returns how many shard replicas this node stores.
 func (m *Manager) ShardCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.shards)
+	n := 0
+	for _, c := range m.ShardsByApp() {
+		n += c
+	}
+	return n
 }
 
 // ShardBytes returns the total bytes of shard replicas stored here.
@@ -90,10 +114,25 @@ func (m *Manager) ShardBytes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, s := range m.shards {
-		n += len(s.Data)
+	for _, h := range m.held {
+		for _, t := range h {
+			for _, s := range t.shards {
+				n += len(s.Data)
+			}
+		}
 	}
 	return n
+}
+
+// ShardsByApp returns how many shard replicas this node stores per app.
+func (m *Manager) ShardsByApp() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]int, len(m.held))
+	for app, h := range m.held {
+		out[app] = len(h[0].shards) + len(h[1].shards)
+	}
+	return out
 }
 
 // Save splits a state snapshot into mShards shards, replicates each
@@ -104,16 +143,49 @@ func (m *Manager) ShardBytes() int {
 // fair-comparison setup for Fig 8c. The placement table is recorded
 // locally and published into the DHT KV so any node can recover the
 // state later.
+//
+// A save is acknowledged only with off-node copies: replicas go to the
+// leaf-set peers the transport reports live, never to the saver, whose
+// own copy would die with it. Fewer live peers than replicas thins each
+// index to one replica per peer; no live peer at all fails the save with
+// ErrUnderReplicated. A save older than the app's last published one is
+// a no-op returning the newer placement, which already covers it.
 func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v state.Version) (shard.Placement, error) {
+	m.mu.Lock()
+	appMu := m.saving[app]
+	if appMu == nil {
+		appMu = new(sync.Mutex)
+		m.saving[app] = appMu
+	}
+	m.mu.Unlock()
+	appMu.Lock()
+	defer appMu.Unlock()
+	if last, ok := m.Placement(app); ok && last.Version.Newer(v) {
+		return last, nil
+	}
 	shards, err := shard.Split(app, m.node.ID(), snapshot, mShards, v)
 	if err != nil {
 		return shard.Placement{}, fmt.Errorf("save %q: %w", app, err)
+	}
+	var leaves []id.ID
+	for _, l := range m.node.LeafSet() {
+		if m.node.PeerAlive(l) {
+			leaves = append(leaves, l)
+		}
+	}
+	if len(leaves) == 0 {
+		if c := m.underReplicated.Load(); c != nil {
+			c.Inc()
+		}
+		return shard.Placement{}, fmt.Errorf("save %q: %w", app, ErrUnderReplicated)
+	}
+	if replicas > len(leaves) {
+		replicas = len(leaves)
 	}
 	reps, err := shard.Replicate(shards, replicas)
 	if err != nil {
 		return shard.Placement{}, fmt.Errorf("save %q: %w", app, err)
 	}
-	leaves := m.node.LeafSet()
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Less(leaves[j]) })
 	placement, err := shard.Place(app, m.node.ID(), len(shards), replicas, v, len(snapshot), leaves)
 	if err != nil {
@@ -148,6 +220,11 @@ func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v sta
 	}
 
 	m.mu.Lock()
+	if old, ok := m.placements[app]; ok && old.Version == v {
+		// A re-save of the same version (the periodic re-protection)
+		// republishes in place: the epoch ranks it above stale copies.
+		placement.Epoch = old.Epoch + 1
+	}
 	m.placements[app] = placement
 	m.mu.Unlock()
 
@@ -181,12 +258,6 @@ func (m *Manager) NextVersion(now int64) state.Version {
 	return state.Version{Timestamp: now, Seq: m.saveSeq}
 }
 
-// pushShard delivers one replica to a holder (a single-shard batch; the
-// repair path and tests use it directly).
-func (m *Manager) pushShard(target id.ID, s shard.Shard) error {
-	return m.pushShardBatch(target, []shard.Shard{s})
-}
-
 // pushShardBatch delivers a group of replicas to one holder as a single
 // batched store: metadata rides the gob payload, the shard bodies ride
 // the message's raw byte body as length-prefixed frames, which
@@ -212,14 +283,29 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard) error {
 	return err
 }
 
+// storeLocal files one pushed replica under its app's version tiers. A
+// newer version supersedes the app's newest (which becomes the fallback
+// tier, dropping the one before it); a replica of either held version is
+// stored in place; anything older is a stale write and is dropped
+// (version control, paper §4, modification 3).
 func (m *Manager) storeLocal(s shard.Shard) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := s.Key()
-	if old, ok := m.shards[key]; ok && old.Version.Newer(s.Version) {
-		return // stale write: version control (paper §4, modification 3)
+	h := m.held[s.App]
+	if h == nil {
+		h = new(heldApp)
+		m.held[s.App] = h
 	}
-	m.shards[key] = s
+	if h[0].shards == nil || s.Version.Newer(h[0].version) {
+		h[1] = h[0]
+		h[0].version, h[0].shards = s.Version, map[shard.Key]shard.Shard{}
+	}
+	for _, t := range h {
+		if t.shards != nil && t.version == s.Version {
+			t.shards[s.Key()] = s
+			return
+		}
+	}
 }
 
 // DropShards deletes shard replicas (failure injection for Fig 10: "we
@@ -227,35 +313,60 @@ func (m *Manager) storeLocal(s shard.Shard) {
 func (m *Manager) DropShards(app string, pred func(shard.Key) bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	h := m.held[app]
+	if h == nil {
+		return 0
+	}
 	n := 0
-	for k := range m.shards {
-		if k.App == app && (pred == nil || pred(k)) {
-			delete(m.shards, k)
-			n++
+	for _, t := range h {
+		for k := range t.shards {
+			if pred == nil || pred(k) {
+				delete(t.shards, k)
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// HasShard reports whether a replica is stored here.
+// HasShard reports whether a replica is stored here (at any held version).
 func (m *Manager) HasShard(k shard.Key) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.shards[k]
-	return ok
+	h := m.held[k.App]
+	if h == nil {
+		return false
+	}
+	_, cur := h[0].shards[k]
+	_, prev := h[1].shards[k]
+	return cur || prev
+}
+
+// shardAt returns a stored replica of (app, index) at version v, or the
+// newest held replica of the index when v is zero. Callers hold m.mu.
+func (m *Manager) shardAt(app string, index int, v state.Version) (shard.Shard, bool) {
+	h := m.held[app]
+	if h == nil {
+		return shard.Shard{}, false
+	}
+	for _, t := range h {
+		for k, s := range t.shards {
+			if k.Index == index && (v == state.Version{} || s.Version == v) {
+				return s, true
+			}
+		}
+	}
+	return shard.Shard{}, false
 }
 
 // hasShardAt reports whether any replica of (app, index) is stored here
-// at exactly version v — the repair loop's health predicate.
+// at exactly version v (at any version when v is zero) — the repair
+// loop's health predicate.
 func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, s := range m.shards {
-		if k.App == app && k.Index == index && s.Version == v {
-			return true
-		}
-	}
-	return false
+	_, ok := m.shardAt(app, index, v)
+	return ok
 }
 
 // GCShards applies version-scoped garbage collection for one app against
@@ -269,19 +380,22 @@ func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
 func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	h := m.held[app]
+	if h == nil {
+		return 0, 0
+	}
 	self := m.node.ID()
-	for k, s := range m.shards {
-		if k.App != app {
-			continue
-		}
-		if p.Version.Newer(s.Version) {
-			delete(m.shards, k)
-			stale++
-			continue
-		}
-		if s.Version == p.Version && p.Loc[k] != self {
-			delete(m.shards, k)
-			orphans++
+	for _, t := range h {
+		for k, s := range t.shards {
+			if p.Version.Newer(s.Version) {
+				delete(t.shards, k)
+				stale++
+				continue
+			}
+			if s.Version == p.Version && p.Loc[k] != self {
+				delete(t.shards, k)
+				orphans++
+			}
 		}
 	}
 	return stale, orphans
@@ -303,7 +417,7 @@ func (m *Manager) Placement(app string) (shard.Placement, bool) {
 func (m *Manager) LookupPlacement(app string) (shard.Placement, error) {
 	blobs, err := m.node.GetAll(placementKVKey(app))
 	if err != nil {
-		return shard.Placement{}, fmt.Errorf("%w: %v", ErrNoPlacement, err)
+		return shard.Placement{}, fmt.Errorf("%w: %w", ErrNoPlacement, err)
 	}
 	var best shard.Placement
 	found := false
@@ -379,17 +493,15 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
 }
 
-type fetchRequest struct {
-	Key shard.Key
+type fetchIndexRequest struct {
+	App   string
+	Index int
+	// Version selects the replica version (the placement being
+	// assembled); zero asks for the newest held.
+	Version state.Version
 	// Inline requests the legacy encoding: shard data gob-encoded inside
 	// the reply payload instead of riding the raw byte body. Kept as the
 	// pre-data-plane baseline for A/B benchmarking.
-	Inline bool
-}
-
-type fetchIndexRequest struct {
-	App    string
-	Index  int
 	Inline bool
 }
 
@@ -419,13 +531,16 @@ func fetchReplyMsg(s shard.Shard, inline bool) simnet.Message {
 	return out
 }
 
-func (m *Manager) handleFetch(_ id.ID, msg simnet.Message) (simnet.Message, error) {
-	req, ok := msg.Payload.(*fetchRequest)
+// handleFetchIndex returns any replica of the given shard index stored
+// here at the requested version — used when the exact replica number is
+// unknown.
+func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {
-		return simnet.Message{}, fmt.Errorf("recovery: bad fetch payload %T", msg.Payload)
+		return simnet.Message{}, fmt.Errorf("recovery: bad fetchIndex payload %T", msg.Payload)
 	}
 	m.mu.Lock()
-	s, found := m.shards[req.Key]
+	s, found := m.shardAt(req.App, req.Index, req.Version)
 	m.mu.Unlock()
 	if !found {
 		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
@@ -433,53 +548,16 @@ func (m *Manager) handleFetch(_ id.ID, msg simnet.Message) (simnet.Message, erro
 	return fetchReplyMsg(s, req.Inline), nil
 }
 
-// handleFetchIndex returns any replica of the given shard index stored
-// here — used when the exact replica number is unknown.
-func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
-	req, ok := msg.Payload.(*fetchIndexRequest)
-	if !ok {
-		return simnet.Message{}, fmt.Errorf("recovery: bad fetchIndex payload %T", msg.Payload)
-	}
-	m.mu.Lock()
-	var best shard.Shard
-	found := false
-	for k, s := range m.shards {
-		if k.App == req.App && k.Index == req.Index {
-			if !found || s.Version.Newer(best.Version) {
-				best = s
-				found = true
-			}
-		}
-	}
-	m.mu.Unlock()
-	if !found {
-		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
-	}
-	return fetchReplyMsg(best, req.Inline), nil
-}
-
-// localShardsFor returns this node's replicas for the given app indices,
-// preferring the newest version of each (stale copies from an earlier
-// save may still sit here after the state's owner moved).
-func (m *Manager) localShardsFor(app string, indices []int) []shard.Shard {
-	want := make(map[int]bool, len(indices))
-	for _, i := range indices {
-		want[i] = true
-	}
+// localShardsFor returns one of this node's replicas for each of the
+// given app indices at version v (the newest held when v is zero).
+func (m *Manager) localShardsFor(app string, v state.Version, indices []int) []shard.Shard {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best := make(map[int]shard.Shard, len(indices))
-	for k, s := range m.shards {
-		if k.App != app || !want[k.Index] {
-			continue
+	out := make([]shard.Shard, 0, len(indices))
+	for _, i := range indices {
+		if s, ok := m.shardAt(app, i, v); ok {
+			out = append(out, s)
 		}
-		if cur, ok := best[k.Index]; !ok || s.Version.Newer(cur.Version) {
-			best[k.Index] = s
-		}
-	}
-	out := make([]shard.Shard, 0, len(best))
-	for _, s := range best {
-		out = append(out, s)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"sr3/internal/id"
 	"sr3/internal/shard"
 	"sr3/internal/simnet"
+	"sr3/internal/state"
 )
 
 // partitionEnv is one armed partition-during-recovery scenario: a saved
@@ -219,7 +220,7 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 		}
 		for _, idx := range st.Indices {
 			for _, h := range p.NodesForIndex(idx) {
-				if h != deg && c.Ring.Net.Alive(h) && c.managers[h].hasIndex("app", idx) {
+				if h != deg && c.Ring.Net.Alive(h) && c.managers[h].hasShardAt("app", idx, state.Version{}) {
 					t.Fatalf("index %d planned on degraded node despite healthy replica %s", idx, h.Short())
 				}
 			}

@@ -76,17 +76,13 @@ func (s PlanSpec) stageDelay(st PlanStage) float64 {
 
 // Planner emits simnet task DAGs for recovery mechanisms. One Planner can
 // compose several plans (multi-failure experiments) into a single DAG
-// with unique task IDs. Use NewPlanner for a standalone planner, or
-// PlannerOn to share a builder with baseline planners.
+// with unique task IDs.
 type Planner struct {
 	b *simnet.PlanBuilder
 }
 
 // NewPlanner returns an empty planner.
 func NewPlanner() *Planner { return &Planner{b: simnet.NewPlanBuilder()} }
-
-// PlannerOn returns a planner appending to an existing builder.
-func PlannerOn(b *simnet.PlanBuilder) *Planner { return &Planner{b: b} }
 
 // Tasks returns the composed DAG.
 func (p *Planner) Tasks() []simnet.Task { return p.b.Tasks() }
@@ -392,21 +388,6 @@ func regroupStages(stages []PlanStage, n int) []PlanStage {
 		idx += size
 	}
 	return out
-}
-
-// treeCapacity is the number of nodes in a complete fanout-ary tree of
-// the given depth (root depth = 1), capped to avoid overflow.
-func treeCapacity(fanout, depth int) int {
-	total := 0
-	width := 1
-	for d := 0; d < depth; d++ {
-		total += width
-		if total > 1<<20 {
-			return 1 << 20
-		}
-		width *= fanout
-	}
-	return total
 }
 
 // StagesFromPlacement derives timed-plan stages from a shard placement:

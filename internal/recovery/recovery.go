@@ -166,6 +166,11 @@ var (
 	// shard push failed or a target departed before the placement was
 	// published. Nothing was published; the caller may retry.
 	ErrSaveAborted = errors.New("recovery: save aborted by leaf-set churn")
+	// ErrUnderReplicated reports a Save refused because no live leaf-set
+	// peer could take an off-node copy: a copy on the saver alone would
+	// die with it. Nothing was published; the caller may retry once a
+	// peer is up.
+	ErrUnderReplicated = errors.New("recovery: save has no live off-node holder")
 	// ErrRetryBudget reports a failover retry pass suppressed by
 	// Options.RetryBudget: replicas remained untried, but the shared
 	// budget refused to fund another pass. It arrives wrapped with

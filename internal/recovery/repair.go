@@ -41,11 +41,6 @@ type RepairReport struct {
 	GCOrphans int
 }
 
-// FullyReplicated reports whether the pass left every slot healthy.
-func (r RepairReport) FullyReplicated() bool {
-	return r.Unrepairable == 0 && r.Missing == r.Repushed
-}
-
 // RepairApp restores an application's replication factor after provider
 // death or DHT churn: every (index, replica) slot of the published
 // placement is checked against the live overlay, lost replicas are

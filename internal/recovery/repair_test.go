@@ -269,7 +269,7 @@ func TestGCKeepsNewerInFlightShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	holder := c.Ring.IDs()[1]
-	if err := mgr.pushShard(holder, shards[0]); err != nil {
+	if err := mgr.pushShardBatch(holder, shards[:1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,14 +284,7 @@ func TestGCKeepsNewerInFlightShards(t *testing.T) {
 func clusterShardCount(c *Cluster, app string) int {
 	n := 0
 	for _, nid := range c.Ring.LiveIDs() {
-		m := c.Manager(nid)
-		m.mu.Lock()
-		for k := range m.shards {
-			if k.App == app {
-				n++
-			}
-		}
-		m.mu.Unlock()
+		n += c.Manager(nid).ShardsByApp()[app]
 	}
 	return n
 }

@@ -16,7 +16,6 @@ import (
 // transports (internal/nettransport).
 func RegisterWire() {
 	gob.Register(&shard.Shard{})
-	gob.Register(&fetchRequest{})
 	gob.Register(&fetchIndexRequest{})
 	gob.Register(&fetchReply{})
 	gob.Register(&lineCollectMsg{})
@@ -147,12 +146,6 @@ func DecodeShardBatch(metas []shard.Shard, raw []byte) ([]shard.Shard, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %d shards", ErrMalformed, len(rest), len(metas))
 	}
 	return out, nil
-}
-
-// BatchRawSize returns the framed-body size for shards of the given total
-// data length (for wire-size accounting).
-func BatchRawSize(dataBytes, count int) int {
-	return dataBytes + count*dht.FrameOverhead
 }
 
 // EncodeShard serializes one shard (the store-message framing).

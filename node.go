@@ -4,7 +4,7 @@
 // the cluster layer does across real processes: a seed node embeds the
 // control plane, peers join over TCP, cross-process edges speak the
 // batch tuple codec, and a dead node's components are adopted by a
-// survivor that star-fetches the scattered state. The seed federates
+// survivor that rebuilds the scattered state from the ring. The seed federates
 // every member's metrics, stitches cross-process recovery traces, and
 // merges distributed post-mortems. See internal/cluster and DESIGN.md
 // §14–15.
