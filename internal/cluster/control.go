@@ -171,6 +171,9 @@ func (cp *controlPlane) handleJoin(req *joinReq) (*joinResp, error) {
 	}
 	cp.lastSeen[req.Name] = time.Now()
 	cp.view.Epoch++
+	// Book the member now, ahead of the next sweep, so the seed's calls
+	// (adopt, federation pulls) reach it at once.
+	cp.node.ringNet.AddPeer(ringID(req.Name), req.Addr)
 	// A rejoin resolves an open recovery unless an adoption is already
 	// moving its components — then the adoption completes the trace.
 	cp.finishRecoveryLocked(req.Name, req.Name, "rejoined")
@@ -178,8 +181,8 @@ func (cp *controlPlane) handleJoin(req *joinReq) (*joinResp, error) {
 	return &joinResp{View: cp.view.clone(), Spec: *cp.spec, Seed: cp.node.cfg.Name}, nil
 }
 
-// handleHeartbeat refreshes liveness and tells the sender the current
-// epoch so it can pull a fresh view when routing changed.
+// handleHeartbeat refreshes liveness and, when routing changed since the
+// epoch the sender applied, hands it the current view.
 func (cp *controlPlane) handleHeartbeat(req *heartbeatReq) (*heartbeatResp, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -193,7 +196,12 @@ func (cp *controlPlane) handleHeartbeat(req *heartbeatReq) (*heartbeatResp, erro
 		return nil, fmt.Errorf("member %s was declared dead; rejoin", req.Name)
 	}
 	cp.lastSeen[req.Name] = time.Now()
-	return &heartbeatResp{Epoch: cp.view.Epoch}, nil
+	resp := &heartbeatResp{}
+	if req.Epoch < cp.view.Epoch {
+		v := cp.view.clone()
+		resp.View = &v
+	}
+	return resp, nil
 }
 
 // handleLeave marks a gracefully departing member dead immediately; the
@@ -268,7 +276,7 @@ func (cp *controlPlane) sweep() {
 	type adoption struct {
 		target   Member
 		comps    []string
-		epoch    int64
+		view     View
 		deadNode string
 		trace    obs.SpanContext
 	}
@@ -292,14 +300,14 @@ func (cp *controlPlane) sweep() {
 		}
 		rt := cp.noteDeathLocked(nodeName, basis, now)
 		plans = append(plans, adoption{
-			target: target, comps: comps, epoch: cp.view.Epoch,
+			target: target, comps: comps, view: cp.view.clone(),
 			deadNode: nodeName, trace: rt.ctx,
 		})
 	}
 	cp.mu.Unlock()
 
 	for _, plan := range plans {
-		go cp.runAdoption(plan.target, plan.comps, plan.epoch, plan.deadNode, plan.trace)
+		go cp.runAdoption(plan.target, plan.comps, plan.view, plan.deadNode, plan.trace)
 	}
 }
 
@@ -334,17 +342,17 @@ func (cp *controlPlane) pickAdopterLocked() (Member, bool) {
 // auto-collects a cluster post-mortem. The adopt span parents on the
 // dead node's recovery trace and its context rides the RPC, so the
 // adopter's recovery work lands in the same trace.
-func (cp *controlPlane) runAdoption(target Member, comps []string, epoch int64, deadNode string, trace obs.SpanContext) {
+func (cp *controlPlane) runAdoption(target Member, comps []string, view View, deadNode string, trace obs.SpanContext) {
 	cp.node.logf("control: adopting %v onto %s", comps, target.Name)
 	adoptSp := cp.node.tracer.StartSpan(trace, obs.PhaseAdopt)
 	adoptSp.SetStr("target", target.Name)
 	adoptSp.SetStr("components", strings.Join(comps, ","))
-	req := &adoptReq{Components: comps, Epoch: epoch, Trace: adoptSp.Ctx()}
+	req := &adoptReq{Components: comps, View: view, Trace: adoptSp.Ctx()}
 	var err error
 	if target.Name == cp.node.cfg.Name {
 		_, err = cp.node.handleAdopt(req) // local fast path: the seed adopts
 	} else {
-		_, err = rpcCall(target.Addr, &rpcEnvelope{Kind: "adopt", Adopt: req}, adoptTimeout)
+		_, err = call[adoptResp](cp.node, ringID(target.Name), kindAdopt, req, adoptTimeout)
 	}
 	adoptSp.EndErr(err)
 	cp.mu.Lock()

@@ -96,12 +96,11 @@ func (f *federator) pullAll() {
 }
 
 func (f *federator) pull(m Member) {
-	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "metricspull", MPull: &metricsPullReq{}}, rpcTimeout)
-	if err != nil || resp.MPullR == nil {
+	r, err := call[metricsPullResp](f.node, ringID(m.Name), kindMetricsPull, &metricsPullReq{}, 0)
+	if err != nil {
 		f.node.logf("federate: pull %s: %v", m.Name, err)
 		return
 	}
-	r := resp.MPullR
 	reg := metrics.RegistryFromSnapshot(r.Registry)
 	f.mu.Lock()
 	f.fed.Register(m.Name, reg) // replaces the previous cycle's snapshot

@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -70,7 +69,7 @@ type Node struct {
 	hub     *obsHub       // non-nil on the seed: trace stitch + post-mortem
 
 	mu       sync.Mutex
-	view     View // non-seed: last pulled view; seed reads the control plane
+	view     View // non-seed: newest view learned; seed reads the control plane
 	cells    []*cell
 	conns    map[net.Conn]bool
 	stopping bool
@@ -162,7 +161,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	dht.RegisterWire()
 	recovery.RegisterWire()
+	registerWire()
 	n.ringNet = nettransport.NewShared(magicRing, n.advertise)
+	n.ringNet.SetMetrics(n.reg)
 	// A member the seed has not yet declared dead refuses at once; the
 	// view, not dial retries, says when it is back.
 	n.ringNet.SetDialRetryPolicy(nettransport.DialRetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond})
@@ -173,15 +174,26 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.mgr = recovery.NewManager(n.ring)
 	n.mgr.SetTracer(n.tracer)
 	n.mgr.SetMetrics(n.reg)
+	if cfg.Seed == "" {
+		if err := n.formCluster(); err != nil {
+			n.shutdownTransport()
+			return nil, err
+		}
+	} else {
+		n.ringNet.AddPeer(seedRingID, cfg.Seed)
+	}
+	for kind, h := range n.rpcHandlers() {
+		n.ring.HandleDirect(kind, h)
+	}
 	n.servWG.Add(1)
 	go n.serve()
 
-	if err := n.bootstrap(); err != nil {
+	if n.control != nil {
+		n.control.start()
+		n.fed.start()
+	} else if err := n.join(); err != nil {
 		n.shutdownTransport()
 		return nil, err
-	}
-	if n.fed != nil {
-		n.fed.start()
 	}
 	n.joined.Store(true)
 
@@ -228,45 +240,39 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// bootstrap forms the cluster (seed) or joins it (everyone else).
-func (n *Node) bootstrap() error {
-	if n.cfg.Seed == "" {
-		spec, err := n.cfg.LoadSpec()
-		if err != nil {
-			return err
-		}
-		n.spec = spec
-		n.ring.Bootstrap()
-		n.control = newControlPlane(n, spec)
-		// The federation and trace-stitch surfaces must exist before the
-		// monitor loop runs: a sweep may trigger a post-mortem.
-		n.fed = newFederator(n)
-		n.hub = newObsHub(n)
-		if _, err := n.control.handleJoin(&joinReq{
-			Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
-			Incarnation: n.incarnation.Load(),
-		}); err != nil {
-			return err
-		}
-		n.control.start()
-		return nil
+// formCluster makes this node the seed: it loads the spec, starts the
+// ring, and admits itself to a new control plane. It runs before the
+// listener serves, so the seed-only handlers see the control plane; the
+// monitor loop starts once serving.
+func (n *Node) formCluster() error {
+	spec, err := n.cfg.LoadSpec()
+	if err != nil {
+		return err
 	}
+	n.spec = spec
+	n.ring.Bootstrap()
+	n.control = newControlPlane(n, spec)
+	// The federation and trace-stitch surfaces must exist before the
+	// monitor loop runs: a sweep may trigger a post-mortem.
+	n.fed = newFederator(n)
+	n.hub = newObsHub(n)
+	_, err = n.control.handleJoin(n.joinRequest())
+	return err
+}
+
+// join enters the cluster through the seed, retrying until JoinTimeout.
+func (n *Node) join() error {
 	deadline := time.Now().Add(n.cfg.JoinTimeout)
-	req := &rpcEnvelope{Kind: "join", Join: &joinReq{
-		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
-		Incarnation: n.incarnation.Load(),
-	}}
 	for {
-		resp, err := rpcCall(n.cfg.Seed, req, rpcTimeout)
+		resp, err := call[joinResp](n, seedRingID, kindJoin, n.joinRequest(), 0)
 		if err == nil {
-			spec := resp.JoinR.Spec
-			n.spec = &spec
+			n.spec = &resp.Spec
 			n.mu.Lock()
-			n.view = resp.JoinR.View
+			n.view = resp.View
 			n.mu.Unlock()
 			// The ring join goes through the seed, which the view books.
-			n.applyRing(resp.JoinR.View.Members)
-			if err = n.ring.Join(ringID(resp.JoinR.Seed)); err == nil {
+			n.applyRing(resp.View.Members)
+			if err = n.ring.Join(ringID(resp.Seed)); err == nil {
 				return nil
 			}
 		}
@@ -274,6 +280,14 @@ func (n *Node) bootstrap() error {
 			return fmt.Errorf("cluster: join %s: %w", n.cfg.Seed, err)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// joinRequest is this node's join under its current incarnation.
+func (n *Node) joinRequest() *joinReq {
+	return &joinReq{
+		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
+		Incarnation: n.incarnation.Load(),
 	}
 }
 
@@ -584,8 +598,8 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 	n.logf("adopting %v", req.Components)
 	// Recover under the view that ordered the adoption: it carries the
 	// seed's death verdict, which un-books the dead node from the ring.
-	if n.control == nil && req.Epoch > n.viewEpoch() {
-		n.pullView()
+	if n.control == nil {
+		n.learnView(req.View)
 	}
 	// A traced adoption opens a local recover span parented on the seed's
 	// self-heal trace: this node's fetch/merge/replay children hang off
@@ -625,8 +639,8 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 	return &adoptResp{}, nil
 }
 
-// serve accepts cluster connections: 'C' control RPCs, 'T' tuple
-// streams, 'R' ring traffic.
+// serve accepts cluster connections: 'R' request/reply exchanges with
+// the ring node, 'T' tuple streams.
 func (n *Node) serve() {
 	defer n.servWG.Done()
 	for {
@@ -656,109 +670,17 @@ func (n *Node) handleConn(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	var magic [1]byte
-	_ = conn.SetReadDeadline(time.Now().Add(rpcTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(nettransport.DefaultIOTimeout))
 	if _, err := io.ReadFull(conn, magic[:]); err != nil {
 		return
 	}
 	switch magic[0] {
-	case magicRPC:
-		n.handleRPC(conn)
 	case magicFlow:
 		_ = conn.SetReadDeadline(time.Time{})
 		n.handleFlow(conn)
 	case magicRing:
 		n.ringNet.ServeConn(n.ring.ID(), conn)
 	}
-}
-
-// handleRPC serves one control round trip.
-func (n *Node) handleRPC(conn net.Conn) {
-	// Adoptions recover state before replying, so the conn deadline must
-	// outlive the slowest handler, not just a network round trip.
-	_ = conn.SetDeadline(time.Now().Add(adoptTimeout + rpcTimeout))
-	var req rpcEnvelope
-	if err := gob.NewDecoder(conn).Decode(&req); err != nil {
-		return
-	}
-	resp := n.dispatch(&req)
-	_ = gob.NewEncoder(conn).Encode(resp)
-}
-
-func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
-	resp := &rpcEnvelope{Kind: req.Kind}
-	fail := func(err error) *rpcEnvelope {
-		resp.Err = err.Error()
-		return resp
-	}
-	seedOnly := func() error {
-		if n.control == nil {
-			return ErrNotSeed
-		}
-		return nil
-	}
-	switch req.Kind {
-	case "join":
-		if err := seedOnly(); err != nil || req.Join == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleJoin(req.Join)
-		if err != nil {
-			return fail(err)
-		}
-		resp.JoinR = r
-	case "heartbeat":
-		if err := seedOnly(); err != nil || req.Heartbeat == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleHeartbeat(req.Heartbeat)
-		if err != nil {
-			return fail(err)
-		}
-		resp.HeartbtR = r
-	case "view":
-		if err := seedOnly(); err != nil {
-			return fail(ErrNotSeed)
-		}
-		v := n.control.snapshotView()
-		resp.ViewR = &viewResp{View: v}
-	case "leave":
-		if err := seedOnly(); err != nil || req.Leave == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleLeave(req.Leave)
-		if err != nil {
-			return fail(err)
-		}
-		resp.LeaveR = r
-	case "adopt":
-		if req.Adopt == nil {
-			return fail(ErrUnknownRPC)
-		}
-		r, err := n.handleAdopt(req.Adopt)
-		if err != nil {
-			return fail(err)
-		}
-		resp.AdoptR = r
-	case "metricspull":
-		if req.MPull == nil {
-			return fail(ErrUnknownRPC)
-		}
-		resp.MPullR = &metricsPullResp{
-			Node:        n.cfg.Name,
-			Incarnation: n.incarnation.Load(),
-			Registry:    n.reg.Snapshot(),
-			Debug:       n.Debug(),
-		}
-	case "obsdump":
-		if req.ODump == nil {
-			return fail(ErrUnknownRPC)
-		}
-		dump := n.localObsDump()
-		resp.ODumpR = &dump
-	default:
-		return fail(ErrUnknownRPC)
-	}
-	return resp
 }
 
 // handleFlow serves one ingress tuple stream: hello, then framed batches
@@ -830,8 +752,8 @@ func (n *Node) handleFlow(conn net.Conn) {
 	}
 }
 
-// heartbeatLoop keeps the seed convinced we are alive and pulls a fresh
-// view whenever the advertised epoch moves. A rejection means the seed
+// heartbeatLoop keeps the seed convinced we are alive and takes the
+// fresh view a reply carries when routing changed. A rejection means the seed
 // declared us dead — rejoin under a new incarnation and drop any cells
 // whose components have been moved elsewhere.
 func (n *Node) heartbeatLoop() {
@@ -844,18 +766,17 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-tick.C:
 		}
-		req := &rpcEnvelope{Kind: "heartbeat", Heartbeat: &heartbeatReq{
+		resp, err := call[heartbeatResp](n, seedRingID, kindHeartbeat, &heartbeatReq{
 			Name: n.cfg.Name, Incarnation: n.incarnation.Load(), Epoch: n.viewEpoch(),
-		}}
-		resp, err := rpcCall(n.cfg.Seed, req, rpcTimeout)
+		}, 0)
 		if err != nil {
 			if isRejoinError(err) {
 				n.rejoin()
 			}
 			continue // seed unreachable: keep beating
 		}
-		if resp.HeartbtR != nil && resp.HeartbtR.Epoch > n.viewEpoch() {
-			n.pullView()
+		if resp.View != nil {
+			n.learnView(*resp.View)
 		}
 		// Re-apply even an unchanged view: it restores members the ring
 		// forgot after a failed call.
@@ -874,19 +795,17 @@ func (n *Node) viewEpoch() int64 {
 	return n.view.Epoch
 }
 
-func (n *Node) pullView() {
-	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "view", ViewReq: &viewReq{}}, rpcTimeout)
-	if err != nil || resp.ViewR == nil {
-		return
-	}
+// learnView installs a view newer than the one held and books its
+// members on the ring.
+func (n *Node) learnView(v View) {
 	n.mu.Lock()
-	newer := resp.ViewR.View.Epoch > n.view.Epoch
+	newer := v.Epoch > n.view.Epoch
 	if newer {
-		n.view = resp.ViewR.View
+		n.view = v
 	}
 	n.mu.Unlock()
 	if newer {
-		n.applyRing(resp.ViewR.View.Members)
+		n.applyRing(v.Members)
 	}
 }
 
@@ -896,16 +815,13 @@ func (n *Node) pullView() {
 func (n *Node) rejoin() {
 	n.incarnation.Store(time.Now().UnixNano())
 	n.reg.Gauge("sr3_node_incarnation").Set(n.incarnation.Load())
-	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "join", Join: &joinReq{
-		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
-		Incarnation: n.incarnation.Load(),
-	}}, rpcTimeout)
-	if err != nil || resp.JoinR == nil {
+	resp, err := call[joinResp](n, seedRingID, kindJoin, n.joinRequest(), 0)
+	if err != nil {
 		n.logf("rejoin failed: %v", err)
 		return
 	}
 	n.mu.Lock()
-	n.view = resp.JoinR.View
+	n.view = resp.View
 	assign := n.view.Assign
 	var stale []*cell
 	var keep []*cell
@@ -924,7 +840,7 @@ func (n *Node) rejoin() {
 	}
 	n.cells = keep
 	n.mu.Unlock()
-	n.applyRing(resp.JoinR.View.Members)
+	n.applyRing(resp.View.Members)
 	for _, c := range stale {
 		n.logf("rejoin: dropping relocated cell %v", c.comps)
 		c.stop()
@@ -988,9 +904,9 @@ func (n *Node) Stop() {
 		// racing the leave would see "declared dead" and rejoin.
 		close(n.hbStop)
 		<-n.hbDone
-		_, _ = rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "leave", Leave: &leaveReq{
+		_, _ = call[leaveResp](n, seedRingID, kindLeave, &leaveReq{
 			Name: n.cfg.Name, Incarnation: n.incarnation.Load(),
-		}}, rpcTimeout)
+		}, 0)
 	}
 	close(n.rpStop)
 	<-n.rpDone

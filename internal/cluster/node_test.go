@@ -10,6 +10,7 @@ import (
 	"sr3/internal/leakcheck"
 	"sr3/internal/obs"
 	"sr3/internal/recovery"
+	"sr3/internal/simnet"
 	"sr3/internal/state"
 )
 
@@ -348,6 +349,10 @@ func TestRejoinSameIdentity(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Joining is ring traffic, counted by the member's transport.
+	if c := n2b.reg.Counter("sr3_net_calls_total").Value(); c == 0 {
+		t.Fatal("rejoined member counted no transport calls")
+	}
 
 	// The repair loop re-pushes shard replicas to the rejoined holder.
 	deadline = time.Now().Add(5 * time.Second)
@@ -382,6 +387,48 @@ func TestStaleIncarnationRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("stale-incarnation join accepted")
+	}
+}
+
+// TestRPCHandlersRejectBadPayloads feeds the join, heartbeat and adopt
+// handlers nil and foreign payloads: each must answer with an error, not
+// a panic, whether called in process or reached over the wire.
+func TestRPCHandlersRejectBadPayloads(t *testing.T) {
+	spec := testSpec("n1", "n1", "n1", 10, 2, 0, 100)
+	seed := startTestNode(t, "n1", "", spec)
+	defer seed.Stop()
+	n2 := startTestNode(t, "n2", seed.Addr(), spec)
+	defer n2.Stop()
+
+	handlers := seed.rpcHandlers()
+	cases := []struct {
+		kind    string
+		payload any
+	}{
+		{kindJoin, nil},
+		{kindJoin, (*joinReq)(nil)},
+		{kindJoin, &heartbeatReq{}},
+		{kindHeartbeat, nil},
+		{kindHeartbeat, (*heartbeatReq)(nil)},
+		{kindHeartbeat, "heartbeat"},
+		{kindAdopt, nil},
+		{kindAdopt, (*adoptReq)(nil)},
+		{kindAdopt, &joinReq{Name: "n3"}},
+	}
+	for _, c := range cases {
+		h := handlers[c.kind]
+		if h == nil {
+			t.Fatalf("seed serves no %s handler", c.kind)
+		}
+		if _, err := h(ringID("n2"), simnet.Message{Kind: c.kind, Payload: c.payload}); err == nil {
+			t.Errorf("%s accepted payload %T", c.kind, c.payload)
+		}
+	}
+	if _, err := call[joinResp](n2, seedRingID, kindJoin, &leaveReq{Name: "n2"}, 0); err == nil {
+		t.Error("seed accepted a leave payload as a join over the wire")
+	}
+	if _, ok := n2.rpcHandlers()[kindJoin]; ok {
+		t.Error("a non-seed node serves the seed-only join kind")
 	}
 }
 

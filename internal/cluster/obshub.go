@@ -65,12 +65,12 @@ func (h *obsHub) collectDumps() []obsDumpResp {
 			dumps = append(dumps, h.node.localObsDump())
 			continue
 		}
-		resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "obsdump", ODump: &obsDumpReq{}}, rpcTimeout)
-		if err != nil || resp.ODumpR == nil {
+		dump, err := call[obsDumpResp](h.node, ringID(m.Name), kindObsDump, &obsDumpReq{}, 0)
+		if err != nil {
 			h.node.logf("obshub: dump from %s: %v", m.Name, err)
 			continue
 		}
-		dumps = append(dumps, *resp.ODumpR)
+		dumps = append(dumps, *dump)
 	}
 	return dumps
 }

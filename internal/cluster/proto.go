@@ -1,44 +1,131 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
+	"sr3/internal/dht"
+	"sr3/internal/id"
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
+	"sr3/internal/simnet"
 )
 
 // Wire protocol. Every sr3node serves one TCP listener; the first byte
 // of a connection selects the plane:
 //
-//	'C' — control RPC: one gob request envelope, one gob reply, close.
-//	      Join/heartbeat/view/adopt/leave and the observability pulls
-//	      ride here.
+//	'R' — request/reply: one nettransport exchange with this process's
+//	      dht.Node. Overlay maintenance, the placement KV and the
+//	      recovery manager's shard traffic ride here, and so does the
+//	      cluster's own control and observability traffic — join,
+//	      heartbeat, leave, adopt, metricspull and obsdump are direct
+//	      message kinds on the ring node.
 //	'T' — tuple stream: a gob flowHello naming the edge, then an
 //	      endless sequence of batch-codec frames (stream.EncodeTupleBatch)
 //	      carried length-delimited by nettransport.BatchConn.
-//	'R' — ring traffic: one nettransport request/reply exchange for this
-//	      process's dht.Node — overlay maintenance, the placement KV, and
-//	      the recovery manager's shard stores, fetches and collections.
 const (
-	magicRPC  = 'C'
 	magicFlow = 'T'
 	magicRing = 'R'
 )
 
-// rpcTimeout bounds one control RPC round trip.
-const rpcTimeout = 5 * time.Second
-
-// Protocol errors.
-var (
-	ErrRPC        = errors.New("cluster: rpc failed")
-	ErrNotSeed    = errors.New("cluster: this node does not run the control plane")
-	ErrUnknownRPC = errors.New("cluster: unknown rpc kind")
+// Control and observability RPC kinds. The seed serves join, heartbeat
+// and leave; every node serves adopt, metricspull and obsdump.
+const (
+	kindJoin        = "sr3.cluster.join"
+	kindHeartbeat   = "sr3.cluster.heartbeat"
+	kindLeave       = "sr3.cluster.leave"
+	kindAdopt       = "sr3.cluster.adopt"
+	kindMetricsPull = "sr3.cluster.metricspull"
+	kindObsDump     = "sr3.cluster.obsdump"
 )
+
+// seedRingID addresses the seed at the address a member was started
+// with (NodeConfig.Seed), before it knows the seed's name. It is booked
+// on the ring transport only, never learned into the leaf set, and no
+// node name hashes to it.
+var seedRingID = id.HashKey("sr3seed")
+
+// ErrNotSeed reports a seed-only operation invoked on another node.
+var ErrNotSeed = errors.New("cluster: this node does not run the control plane")
+
+// registerWire registers the control RPC payloads with gob, as
+// dht.RegisterWire and recovery.RegisterWire do for theirs.
+func registerWire() {
+	for _, v := range []any{
+		&joinReq{}, &joinResp{}, &heartbeatReq{}, &heartbeatResp{},
+		&leaveReq{}, &leaveResp{}, &adoptReq{}, &adoptResp{},
+		&metricsPullReq{}, &metricsPullResp{}, &obsDumpReq{}, &obsDumpResp{},
+	} {
+		gob.Register(v)
+	}
+}
+
+// call sends one control RPC to the process booked at to on the ring
+// transport and type-checks the reply. timeout 0 leaves the exchange
+// under the transport's deadline.
+func call[Resp any](n *Node, to id.ID, kind string, req any, timeout time.Duration) (*Resp, error) {
+	msg := simnet.Message{Kind: kind, Payload: req}
+	var reply simnet.Message
+	var err error
+	if timeout > 0 {
+		reply, err = n.ringNet.CallTimeout(n.ring.ID(), to, msg, timeout)
+	} else {
+		reply, err = n.ringNet.Call(n.ring.ID(), to, msg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp, ok := reply.Payload.(*Resp)
+	if !ok || resp == nil {
+		return nil, fmt.Errorf("cluster: %s: bad reply payload %T", kind, reply.Payload)
+	}
+	return resp, nil
+}
+
+// handler adapts a typed RPC handler to a ring direct handler. Payloads
+// arrive from other processes, so anything but a non-nil *Req is
+// rejected before f runs.
+func handler[Req, Resp any](f func(*Req) (*Resp, error)) dht.DirectFunc {
+	return func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		req, ok := msg.Payload.(*Req)
+		if !ok || req == nil {
+			return simnet.Message{}, fmt.Errorf("cluster: %s: bad payload %T", msg.Kind, msg.Payload)
+		}
+		resp, err := f(req)
+		if err != nil {
+			return simnet.Message{}, err
+		}
+		return simnet.Message{Kind: msg.Kind, Payload: resp}, nil
+	}
+}
+
+// rpcHandlers returns the control and observability RPCs this node
+// serves, by kind; the seed-only kinds only on the seed.
+func (n *Node) rpcHandlers() map[string]dht.DirectFunc {
+	hs := map[string]dht.DirectFunc{
+		kindAdopt: handler(n.handleAdopt),
+		kindMetricsPull: handler(func(*metricsPullReq) (*metricsPullResp, error) {
+			return &metricsPullResp{
+				Node:        n.cfg.Name,
+				Incarnation: n.incarnation.Load(),
+				Registry:    n.reg.Snapshot(),
+				Debug:       n.Debug(),
+			}, nil
+		}),
+		kindObsDump: handler(func(*obsDumpReq) (*obsDumpResp, error) {
+			dump := n.localObsDump()
+			return &dump, nil
+		}),
+	}
+	if cp := n.control; cp != nil {
+		hs[kindJoin] = handler(cp.handleJoin)
+		hs[kindHeartbeat] = handler(cp.handleHeartbeat)
+		hs[kindLeave] = handler(cp.handleLeave)
+	}
+	return hs
+}
 
 // Member is one cluster node as the control plane sees it. Its ring ID
 // derives from Name (ringID) and its ring traffic rides Addr's ring
@@ -53,7 +140,7 @@ type Member struct {
 
 // View is the control plane's replicated routing state: membership plus
 // the current component->node assignment, versioned by Epoch. Nodes
-// refresh it when a heartbeat reply advertises a newer epoch.
+// take a newer one from heartbeat replies and adopt requests.
 type View struct {
 	Epoch   int64
 	Members []Member
@@ -81,32 +168,6 @@ func (v *View) liveMembers() []Member {
 	return out
 }
 
-// rpcEnvelope is the single request/reply frame: Kind selects the
-// operation, exactly one request pointer is set; the reply reuses the
-// same envelope with the matching *Resp pointer (or Err). Trace is the
-// caller's span context; gob omits the zero value, so untraced RPCs pay
-// nothing on the wire.
-type rpcEnvelope struct {
-	Kind  string
-	Err   string
-	Trace obs.SpanContext
-
-	Join      *joinReq
-	JoinR     *joinResp
-	Heartbeat *heartbeatReq
-	HeartbtR  *heartbeatResp
-	ViewReq   *viewReq
-	ViewR     *viewResp
-	Adopt     *adoptReq
-	AdoptR    *adoptResp
-	Leave     *leaveReq
-	LeaveR    *leaveResp
-	MPull     *metricsPullReq
-	MPullR    *metricsPullResp
-	ODump     *obsDumpReq
-	ODumpR    *obsDumpResp
-}
-
 type joinReq struct {
 	Name        string
 	Addr        string
@@ -126,25 +187,23 @@ type heartbeatReq struct {
 	Epoch       int64 // view epoch the sender has applied
 }
 
+// heartbeatResp carries the seed's view when the sender's epoch is
+// behind it (nil otherwise).
 type heartbeatResp struct {
-	Epoch int64
-}
-
-type viewReq struct{}
-
-type viewResp struct {
-	View View
+	View *View
 }
 
 // adoptReq tells a node to host additional components (a dead node's
 // set). The node builds a new cell for them, marks stateful tasks dead,
 // and recovers their state from the ring; the control plane
-// flips routing (epoch bump) only after the adopt reply. Trace is the
-// seed's adopt span: the adopter parents its recover/fetch/replay spans
-// on it, so one kill-to-recovered incident is a single connected trace.
+// flips routing (epoch bump) only after the adopt reply. View is the
+// view that ordered the adoption: it carries the seed's death verdict,
+// so the adopter applies it before recovering. Trace is the seed's
+// adopt span: the adopter parents its recover/fetch/replay spans on it,
+// so one kill-to-recovered incident is a single connected trace.
 type adoptReq struct {
 	Components []string
-	Epoch      int64
+	View       View
 	Trace      obs.SpanContext
 }
 
@@ -189,31 +248,4 @@ type flowHello struct {
 	FromNode string
 	FromComp string
 	DestComp string
-}
-
-// rpcCall dials addr, sends one envelope and decodes the reply.
-func rpcCall(addr string, req *rpcEnvelope, timeout time.Duration) (*rpcEnvelope, error) {
-	if timeout <= 0 {
-		timeout = rpcTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrRPC, addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write([]byte{magicRPC}); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrRPC, addr, err)
-	}
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return nil, fmt.Errorf("%w: encode to %s: %v", ErrRPC, addr, err)
-	}
-	var resp rpcEnvelope
-	if err := gob.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("%w: decode from %s: %v", ErrRPC, addr, err)
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("%w: %s: remote: %s", ErrRPC, addr, resp.Err)
-	}
-	return &resp, nil
 }

@@ -27,9 +27,9 @@ import (
 // the control plane moves destComp — replays the whole retained window
 // as replay-class traffic before resuming live sends. The receiver's
 // per-key watermark dedupe makes the overlap exactly-once. When the
-// window is full, already-sent entries are trimmed first; if every
-// retained entry is unsent the executor blocks, which is backpressure,
-// not loss.
+// window is full, entries already written to the connection are trimmed
+// first; if every retained entry is unwritten the executor blocks, which
+// is backpressure, not loss.
 type relay struct {
 	node     *Node
 	fromComp string
@@ -38,7 +38,7 @@ type relay struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	buf         []relayEntry
-	sent        int // buf[:sent] already written to the current connection
+	sent        int // buf[:sent] written to the current connection (markSent)
 	replayUntil int // buf[:replayUntil] resends as replay class (reconnect window)
 	closed      bool
 	running     bool // run was started; close waits for it
@@ -155,7 +155,6 @@ func (r *relay) run() {
 		if conn == nil {
 			c, err := r.connect(owner, addr)
 			if err != nil {
-				r.unsend(len(batch))
 				r.node.logf("relay %s: connect %s (%s): %v", r.boltID(), owner, addr, err)
 				if r.pause(50 * time.Millisecond) {
 					return
@@ -176,12 +175,15 @@ func (r *relay) run() {
 			if r.pause(50 * time.Millisecond) {
 				return
 			}
+			continue
 		}
+		r.markSent(len(batch))
 	}
 }
 
 // take blocks for the next run of unsent same-class tuples (bounded by
-// the spec batch size), marking them sent. ok=false on close. A resend
+// the spec batch size); they stay unsent, and so untrimmable, until
+// markSent records them written. ok=false on close. A resend
 // after reconnect (sent reset to 0) is forced to replay class. It also
 // yields the batch's oldest enqueue timestamp (the frame's event-time
 // basis) and, on replay-class batches during a traced recovery, the
@@ -214,26 +216,21 @@ func (r *relay) take() ([]stream.Tuple, stream.TrafficClass, int64, obs.SpanCont
 		}
 		out = append(out, next.tuple)
 	}
-	r.sent += len(out)
 	var tc obs.SpanContext
 	if cls == stream.ClassReplay {
 		tc = r.trace
 	} else {
 		r.trace = obs.SpanContext{}
 	}
-	r.cond.Broadcast()
 	return out, cls, first.at, tc, true
 }
 
-// unsend returns the last n taken entries to the unsent region (send
-// failed before the bytes hit the wire).
-func (r *relay) unsend(n int) {
+// markSent records the n entries the last take returned as written to
+// the connection, which makes them trimmable. Trims since the take only
+// dropped entries before them, so they still start at r.sent.
+func (r *relay) markSent(n int) {
 	r.mu.Lock()
-	if r.sent >= n {
-		r.sent -= n
-	} else {
-		r.sent = 0
-	}
+	r.sent += n
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -275,7 +272,7 @@ func (r *relay) connect(owner, addr string) (*flowConn, error) {
 	if owner == "" || addr == "" {
 		return nil, fmt.Errorf("no live owner for %s", r.destComp)
 	}
-	raw, err := net.DialTimeout("tcp", addr, rpcTimeout)
+	raw, err := net.DialTimeout("tcp", addr, nettransport.DialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -491,6 +491,9 @@ func (n *Network) serveConn(nid id.ID, srv *server, conn net.Conn) {
 		Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
 		TraceID: req.TraceID, SpanID: req.SpanID,
 	})
+	// The deadline covered the request; the reply gets a fresh one, or a
+	// handler that outruns the I/O timeout could never answer.
+	fio.refresh()
 	out := &wireReply{Kind: reply.Kind, Size: reply.Size, Body: reply.Payload, RawLen: len(reply.Raw),
 		TraceID: reply.TraceID, SpanID: reply.SpanID}
 	if err != nil {

@@ -111,6 +111,36 @@ func TestCallTimeoutOnStalledServer(t *testing.T) {
 	}
 }
 
+// TestSlowHandlerStillReplies runs a handler longer than the serving
+// side's I/O timeout under a caller whose per-call deadline covers it:
+// the deadline that bounded the request must not cut off the reply.
+func TestSlowHandlerStillReplies(t *testing.T) {
+	srv := New()
+	defer srv.Close()
+	srv.SetIOTimeout(100 * time.Millisecond)
+	slow := id.HashKey("slow")
+	_ = srv.Register(slow, func(id.ID, simnet.Message) (simnet.Message, error) {
+		time.Sleep(300 * time.Millisecond)
+		return simnet.Message{Kind: "done", Payload: "late but here"}, nil
+	})
+	cli := New()
+	defer cli.Close()
+	caller := id.HashKey("caller")
+	_ = cli.Register(caller, func(id.ID, simnet.Message) (simnet.Message, error) {
+		return simnet.Message{}, nil
+	})
+	addr, _ := srv.Addr(slow)
+	cli.AddPeer(slow, addr)
+
+	reply, err := cli.CallTimeout(caller, slow, simnet.Message{Kind: "work"}, 5*time.Second)
+	if err != nil {
+		t.Fatalf("reply of a handler slower than the server's I/O timeout lost: %v", err)
+	}
+	if reply.Payload != "late but here" {
+		t.Fatalf("payload %v", reply.Payload)
+	}
+}
+
 // TestDHTOverTCP runs a real Pastry overlay over loopback TCP sockets:
 // nodes join through the wire protocol, route keys, and store/fetch KV
 // pairs, all via gob-encoded frames.
